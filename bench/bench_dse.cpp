@@ -12,7 +12,8 @@
 // E5b additionally measures the parallel/memoized evaluation path against
 // the legacy serial always-reverify baseline and emits machine-readable
 // results to BENCH_dse.json (candidates/sec, speedup, cache hit rate) so
-// successive PRs accumulate a perf trajectory.
+// successive PRs accumulate a perf trajectory. Exits nonzero when the
+// genetic serial and parallel runs return different costs.
 #include <cstdio>
 #include <string>
 
@@ -97,7 +98,8 @@ void json_sample(std::FILE* f, const char* key, const ThroughputSample& s,
 
 /// E5b: serial always-reverify baseline (cache off, threads 0 — the legacy
 /// evaluation path) vs. the parallel memoized path, on the largest E5 case.
-void throughput_experiment() {
+/// Returns false when the genetic serial and parallel runs disagree.
+bool throughput_experiment() {
   constexpr std::size_t kApps = 20;
   constexpr std::size_t kEcus = 8;
   constexpr std::size_t kThreads = 8;
@@ -167,11 +169,17 @@ void throughput_experiment() {
           : 0.0;
   std::printf("genetic speedup: %.2fx   annealing speedup: %.2fx\n",
               genetic_speedup, anneal_speedup);
+  const bool deterministic = genetic_serial.cost == genetic_parallel.cost;
+  if (!deterministic) {
+    std::fprintf(stderr,
+                 "FAIL: genetic serial cost %.17g != parallel cost %.17g\n",
+                 genetic_serial.cost, genetic_parallel.cost);
+  }
 
   std::FILE* f = std::fopen("BENCH_dse.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_dse.json\n");
-    return;
+    return deterministic;
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"experiment\": \"E5b_parallel_dse\",\n");
@@ -185,8 +193,7 @@ void throughput_experiment() {
   json_sample(f, "parallel_memoized", genetic_parallel, true);
   std::fprintf(f, "    \"speedup\": %.3f,\n", genetic_speedup);
   std::fprintf(f, "    \"deterministic\": %s\n",
-               genetic_serial.cost == genetic_parallel.cost ? "true"
-                                                            : "false");
+               deterministic ? "true" : "false");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"annealing\": {\n");
   json_sample(f, "serial_baseline", anneal_serial, true);
@@ -196,6 +203,7 @@ void throughput_experiment() {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_dse.json\n");
+  return deterministic;
 }
 
 }  // namespace
@@ -252,6 +260,5 @@ int main() {
                  bench::fmt(stopwatch.elapsed_ms(), 1)});
     }
   }
-  throughput_experiment();
-  return 0;
+  return throughput_experiment() ? 0 : 1;
 }

@@ -16,38 +16,16 @@ namespace dynaplat::dse {
 Explorer::Explorer(const model::SystemModel& system_model,
                    CostWeights weights)
     : model_(system_model), weights_(weights) {
-  // Wrap the exact schedulability test in the (ECU, app set) memo; the test
-  // is a pure function of its arguments and the hook receives apps in a
-  // deterministic (name-sorted) order, so cached verdicts are exact. Kept as
-  // a member so fast_feasible() shares the memo with the full verifier.
-  sched_memo_ =
-      [this, inner = make_verifier_hook()](
-          const model::EcuDef& ecu,
-          const std::vector<const model::AppDef*>& apps, std::string* why) {
-        if (!cache_enabled_) return inner(ecu, apps, why);
-        SchedKey key;
-        key.ecu = &ecu;
-        key.apps = apps;
-        SchedShard& shard =
-            sched_cache_[SchedKeyHash{}(key) % kCacheShards];
-        {
-          std::lock_guard<std::mutex> lock(shard.mutex);
-          const auto it = shard.entries.find(key);
-          if (it != shard.entries.end()) {
-            if (why != nullptr) *why = it->second.why;
-            return it->second.ok;
-          }
-        }
-        std::string reason;
-        const bool ok = inner(ecu, apps, &reason);
-        if (why != nullptr) *why = reason;
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        SchedEntry& entry = shard.entries[std::move(key)];
-        entry.ok = ok;
-        entry.why = std::move(reason);
-        return ok;
-      };
-  verifier_.set_schedulability_hook(sched_memo_);
+  // The verifier's schedulability test goes through the (ECU, app set)
+  // memo; the test is a pure function of its arguments and the hook
+  // receives apps in a deterministic (name-sorted) order, so cached
+  // verdicts are exact. The fast path and IncrementalState share the memo.
+  sched_test_ = make_verifier_hook();
+  verifier_.set_schedulability_hook(
+      [this](const model::EcuDef& ecu,
+             const std::vector<const model::AppDef*>& apps, std::string* why) {
+        return memo_schedulable(ecu, apps, why, nullptr);
+      });
   for (const auto& app : model_.apps()) apps_.push_back(&app);
   for (const auto& ecu : model_.ecus()) ecus_.push_back(&ecu);
 
@@ -225,8 +203,7 @@ void Explorer::build_fast_model() {
 bool Explorer::genome_hosted_on(std::size_t app, std::size_t gene,
                                 std::size_t ecu) const {
   const std::size_t n = ecus_.size();
-  const std::size_t replicas =
-      static_cast<std::size_t>(std::max(1, apps_[app]->replicas));
+  const std::size_t replicas = replicas_of(app);
   if (replicas >= n) return true;  // host run wraps the whole farm
   for (std::size_t r = 0; r < replicas; ++r) {
     if ((gene + r) % n == ecu) return true;
@@ -234,74 +211,91 @@ bool Explorer::genome_hosted_on(std::size_t app, std::size_t gene,
   return false;
 }
 
+Explorer::EcuLoad Explorer::gather_ecu(
+    const Genome& genome, std::size_t ecu,
+    std::vector<const model::AppDef*>& hosted) const {
+  EcuLoad load;
+  hosted.clear();
+  for (const std::size_t a : apps_by_name_) {
+    if (!genome_hosted_on(a, genome[a], ecu)) continue;
+    hosted.push_back(apps_[a]);
+    load.memory += apps_[a]->memory_bytes;
+    load.utilization += apps_[a]->utilization_on(ecus_[ecu]->mips);
+  }
+  return load;
+}
+
+bool Explorer::ecu_feasible(std::size_t ecu,
+                            const std::vector<const model::AppDef*>& hosted,
+                            const EcuLoad& load, bool* memo_hit) const {
+  if (hosted.empty()) return true;
+  const model::EcuDef& def = *ecus_[ecu];
+  if (load.memory > def.memory_bytes) return false;       // memory.capacity
+  if (hosted.size() > 1 && !def.has_mmu) return false;    // mmu-required
+  const double capacity = std::max(1, def.cores);
+  if (load.utilization > capacity) return false;          // cpu.overload
+  return memo_schedulable(def, hosted, nullptr, memo_hit);
+}
+
+bool Explorer::app_admissible(std::size_t app, std::size_t gene) const {
+  const std::size_t necus = ecus_.size();
+  const std::size_t replicas = std::min(replicas_of(app), necus);
+  for (std::size_t r = 0; r < replicas; ++r) {
+    if (fast_.app_ecu_ok[app * necus + (gene + r) % necus] == 0) return false;
+  }
+  return true;
+}
+
+template <typename Fn>
+void Explorer::for_each_cross_pair(const InterfaceInfo& info,
+                                   const Genome& genome, Fn&& fn) const {
+  if (info.provider_app == kNoApp) return;
+  const std::size_t n = ecus_.size();
+  const std::size_t pg = genome[info.provider_app];
+  const std::size_t preplicas = replicas_of(info.provider_app);
+  for (const std::size_t consumer : info.consumer_apps) {
+    if (consumer == kNoApp) continue;
+    const std::size_t cg = genome[consumer];
+    const std::size_t creplicas = replicas_of(consumer);
+    for (std::size_t p = 0; p < preplicas; ++p) {
+      const std::size_t pe = (pg + p) % n;
+      for (std::size_t c = 0; c < creplicas; ++c) {
+        const std::size_t ce = (cg + c) % n;
+        if (pe != ce) fn(pe, ce);
+      }
+    }
+  }
+}
+
 bool Explorer::fast_feasible(const Genome& genome) const {
   if (fast_.static_error) return false;
   const std::size_t necus = ecus_.size();
 
-  // Host admissibility over each replica run.
   for (std::size_t a = 0; a < genome.size(); ++a) {
-    const std::size_t replicas = std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(1, apps_[a]->replicas)), necus);
-    for (std::size_t r = 0; r < replicas; ++r) {
-      if (fast_.app_ecu_ok[a * necus + (genome[a] + r) % necus] == 0) {
-        return false;
-      }
-    }
+    if (!app_admissible(a, genome[a])) return false;
   }
 
-  // (c) Per-ECU capacity + schedulability. Apps are gathered in name-sorted
-  // order so the utilization sum and the sched_memo_ key both match the
-  // verifier's apps_on() traversal exactly.
-  std::vector<const model::AppDef*> defs;
-  defs.reserve(apps_.size());
+  // (c) Per-ECU capacity + schedulability.
+  std::vector<const model::AppDef*> hosted;
+  hosted.reserve(apps_.size());
   for (std::size_t e = 0; e < necus; ++e) {
-    defs.clear();
-    std::size_t memory = 0;
-    double utilization = 0.0;
-    for (const std::size_t a : apps_by_name_) {
-      if (!genome_hosted_on(a, genome[a], e)) continue;
-      defs.push_back(apps_[a]);
-      memory += apps_[a]->memory_bytes;
-      utilization += apps_[a]->utilization_on(ecus_[e]->mips);
-    }
-    if (defs.empty()) continue;
-    if (memory > ecus_[e]->memory_bytes) return false;       // memory.capacity
-    if (defs.size() > 1 && !ecus_[e]->has_mmu) return false;  // mmu-required
-    const double capacity = std::max(1, ecus_[e]->cores);
-    if (utilization > capacity) return false;  // cpu.overload
-    if (!sched_memo_(*ecus_[e], defs, nullptr)) return false;
+    const EcuLoad load = gather_ecu(genome, e, hosted);
+    if (!ecu_feasible(e, hosted, load, nullptr)) return false;
   }
 
-  // Network pair verdicts + stream bandwidth budget. Replica loops are NOT
-  // capped at |ecus| — the verifier iterates the placement's host list, and
-  // without a static redundancy error the run never wraps, so the loop count
-  // equals the host count.
+  // Network pair verdicts + stream bandwidth budget.
   std::vector<std::uint64_t> load(model_.networks().size(), 0);
   for (std::size_t i = 0; i < interface_info_.size(); ++i) {
     const InterfaceInfo& info = interface_info_[i];
-    if (info.provider_app == kNoApp) continue;
-    const std::size_t pg = genome[info.provider_app];
-    const std::size_t preplicas = static_cast<std::size_t>(
-        std::max(1, apps_[info.provider_app]->replicas));
-    for (const std::size_t consumer : info.consumer_apps) {
-      if (consumer == kNoApp) continue;
-      const std::size_t cg = genome[consumer];
-      const std::size_t creplicas =
-          static_cast<std::size_t>(std::max(1, apps_[consumer]->replicas));
-      for (std::size_t p = 0; p < preplicas; ++p) {
-        const std::size_t pe = (pg + p) % necus;
-        for (std::size_t c = 0; c < creplicas; ++c) {
-          const std::size_t ce = (cg + c) % necus;
-          if (pe == ce) continue;
-          const PairVerdict& verdict =
-              fast_.pairs[(i * necus + pe) * necus + ce];
-          if (verdict.fatal) return false;
-          if (verdict.bw_net >= 0) {
-            load[static_cast<std::size_t>(verdict.bw_net)] += info.stream_bw;
-          }
-        }
+    bool fatal = false;
+    for_each_cross_pair(info, genome, [&](std::size_t pe, std::size_t ce) {
+      const PairVerdict& verdict = fast_.pairs[(i * necus + pe) * necus + ce];
+      fatal = fatal || verdict.fatal;
+      if (verdict.bw_net >= 0) {
+        load[static_cast<std::size_t>(verdict.bw_net)] += info.stream_bw;
       }
-    }
+    });
+    if (fatal) return false;
   }
   for (std::size_t k = 0; k < load.size(); ++k) {
     if (load[k] > fast_.net_budget[k]) return false;  // network.bandwidth
@@ -312,20 +306,16 @@ bool Explorer::fast_feasible(const Genome& genome) const {
 double Explorer::genome_soft_cost(const Genome& genome) const {
   double total = 0.0;
 
-  // Mirrors soft_cost() term by term; per-ECU sums walk apps_by_name_, the
-  // same order Assignment::apps_on yields, so the arithmetic is bit-equal.
+  // Mirrors soft_cost() term by term; gather_ecu() walks apps in the order
+  // Assignment::apps_on yields them, so the arithmetic is bit-equal.
   double max_util = 0.0;
   double min_util = std::numeric_limits<double>::infinity();
   std::size_t used = 0;
+  std::vector<const model::AppDef*> hosted;
+  hosted.reserve(apps_.size());
   for (std::size_t e = 0; e < ecus_.size(); ++e) {
-    double util = 0.0;
-    bool any = false;
-    for (const std::size_t a : apps_by_name_) {
-      if (!genome_hosted_on(a, genome[a], e)) continue;
-      any = true;
-      util += apps_[a]->utilization_on(ecus_[e]->mips);
-    }
-    if (any) {
+    const double util = gather_ecu(genome, e, hosted).utilization;
+    if (!hosted.empty()) {
       ++used;
       max_util = std::max(max_util, util);
       min_util = std::min(min_util, util);
@@ -334,24 +324,10 @@ double Explorer::genome_soft_cost(const Genome& genome) const {
   total += weights_.per_ecu * static_cast<double>(used);
   if (used > 1) total += weights_.load_imbalance * (max_util - min_util);
 
-  const std::size_t n = ecus_.size();
   for (const InterfaceInfo& info : interface_info_) {
-    if (info.provider_app == kNoApp) continue;
-    const std::size_t pg = genome[info.provider_app];
-    const std::size_t preplicas = static_cast<std::size_t>(
-        std::max(1, apps_[info.provider_app]->replicas));
-    for (const std::size_t consumer : info.consumer_apps) {
-      if (consumer == kNoApp) continue;
-      const std::size_t cg = genome[consumer];
-      const std::size_t creplicas =
-          static_cast<std::size_t>(std::max(1, apps_[consumer]->replicas));
-      for (std::size_t p = 0; p < preplicas; ++p) {
-        for (std::size_t c = 0; c < creplicas; ++c) {
-          if ((pg + p) % n == (cg + c) % n) continue;
-          total += info.pair_cost;
-        }
-      }
-    }
+    for_each_cross_pair(info, genome, [&](std::size_t, std::size_t) {
+      total += info.pair_cost;
+    });
   }
   return total;
 }
@@ -447,51 +423,52 @@ double Explorer::cached_genome_cost(
   CacheShard& shard = cache_[GenomeHash{}(genome) % kCacheShards];
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(genome);
-    if (it != shard.entries.end() && it->second.has_cost) {
+    const auto it = shard.costs.find(genome);
+    if (it != shard.costs.end()) {
       if (hits != nullptr) hits->fetch_add(1, std::memory_order_relaxed);
-      return it->second.cost;
+      return it->second;
     }
   }
   // Compute outside the shard lock (evaluation dominates); a racing
   // duplicate computation stores the identical pure-function value. The
   // genome-native path yields the same bits as cost(decode(genome)).
-  const bool feas = fast_feasible(genome);
-  const double c = feas ? genome_soft_cost(genome)
-                        : weights_.infeasible_penalty + genome_soft_cost(genome);
+  const double c = evaluate_genome(genome);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  CacheEntry& entry = shard.entries[genome];
-  entry.cost = c;
-  entry.has_cost = true;
-  entry.feasible = feas;
-  entry.has_feasible = true;
+  shard.costs[genome] = c;
   return c;
 }
 
-bool Explorer::cached_feasible(const Genome& genome,
-                               std::atomic<std::uint64_t>* hits) const {
-  if (!cache_enabled_) return feasible(decode(genome));
-  CacheShard& shard = cache_[GenomeHash{}(genome) % kCacheShards];
+bool Explorer::memo_schedulable(const model::EcuDef& ecu,
+                                const std::vector<const model::AppDef*>& apps,
+                                std::string* why, bool* memo_hit) const {
+  if (!cache_enabled_) return sched_test_(ecu, apps, why);
+  SchedKey key;
+  key.ecu = &ecu;
+  key.apps = apps;
+  SchedShard& shard = sched_cache_[SchedKeyHash{}(key) % kCacheShards];
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(genome);
-    if (it != shard.entries.end() && it->second.has_feasible) {
-      if (hits != nullptr) hits->fetch_add(1, std::memory_order_relaxed);
-      return it->second.feasible;
+    const auto it = shard.entries.find(key);
+    if (it != shard.entries.end()) {
+      if (why != nullptr) *why = it->second.why;
+      return it->second.ok;
     }
   }
-  const bool feas = fast_feasible(genome);
+  if (memo_hit != nullptr) *memo_hit = false;
+  std::string reason;
+  const bool ok = sched_test_(ecu, apps, &reason);
+  if (why != nullptr) *why = reason;
   std::lock_guard<std::mutex> lock(shard.mutex);
-  CacheEntry& entry = shard.entries[genome];
-  entry.feasible = feas;
-  entry.has_feasible = true;
-  return feas;
+  SchedEntry& entry = shard.entries[std::move(key)];
+  entry.ok = ok;
+  entry.why = std::move(reason);
+  return ok;
 }
 
 void Explorer::clear_cache() {
   for (CacheShard& shard : cache_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.clear();
+    shard.costs.clear();
   }
   for (SchedShard& shard : sched_cache_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -503,136 +480,138 @@ std::size_t Explorer::cache_size() const {
   std::size_t total = 0;
   for (CacheShard& shard : cache_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.entries.size();
+    total += shard.costs.size();
   }
   return total;
 }
 
-// --- Incremental soft cost ---------------------------------------------------
+// --- Incremental annealing state ---------------------------------------------
 
-/// Maintains per-ECU utilization/app counts and per-interface communication
-/// contributions for one genome, recomputing only what a single-gene move
-/// touches. Every maintained term is recomputed from scratch (never
-/// accumulated via +/- deltas), so the state is a pure function of the
-/// current genome — chains stay deterministic and drift-free no matter how
-/// many moves were applied or reverted.
-class Explorer::SoftCostState {
- public:
-  SoftCostState(const Explorer& explorer, Genome genome)
-      : explorer_(explorer),
-        genome_(std::move(genome)),
-        util_(explorer.ecus_.size(), 0.0),
-        app_count_(explorer.ecus_.size(), 0),
-        contrib_(explorer.interface_info_.size(), 0.0),
-        touched_(explorer.ecus_.size(), 0) {
-    for (std::size_t e = 0; e < util_.size(); ++e) recompute_ecu(e);
-    for (std::size_t i = 0; i < contrib_.size(); ++i) recompute_interface(i);
+Explorer::IncrementalState::IncrementalState(const Explorer& explorer,
+                                             Genome genome, bool verdicts)
+    : explorer_(explorer),
+      verdicts_(verdicts),
+      networks_(explorer.model_.networks().size()),
+      genome_(std::move(genome)),
+      util_(explorer.ecus_.size(), 0.0),
+      app_count_(explorer.ecus_.size(), 0),
+      ecu_ok_(explorer.ecus_.size(), 1),
+      app_ok_(explorer.apps_.size(), 1),
+      cross_pairs_(explorer.interface_info_.size(), 0),
+      ifc_fatal_(explorer.interface_info_.size(), 0),
+      ifc_load_(explorer.interface_info_.size() * networks_, 0),
+      touched_(explorer.ecus_.size(), 0) {
+  hosted_.reserve(explorer.apps_.size());
+  for (std::size_t e = 0; e < util_.size(); ++e) recompute_ecu(e);
+  for (std::size_t i = 0; i < cross_pairs_.size(); ++i) {
+    recompute_interface(i);
   }
-
-  const Genome& genome() const { return genome_; }
-
-  /// Re-hosts `app` on the ECU run starting at `gene`; O(touched ECUs x apps
-  /// + touched interfaces x replica pairs) instead of a full re-score.
-  void move(std::size_t app, std::size_t gene) {
-    mark_hosts(app, genome_[app]);
-    mark_hosts(app, gene);
-    genome_[app] = gene;
-    for (std::size_t e = 0; e < touched_.size(); ++e) {
-      if (touched_[e] != 0) {
-        recompute_ecu(e);
-        touched_[e] = 0;
-      }
-    }
-    for (const std::size_t i : explorer_.app_interfaces_[app]) {
-      recompute_interface(i);
+  if (verdicts_) {
+    for (std::size_t a = 0; a < app_ok_.size(); ++a) {
+      app_ok_[a] = explorer_.app_admissible(a, genome_[a]) ? 1 : 0;
     }
   }
+}
 
-  /// Soft cost of the current genome (no infeasibility penalty).
-  double total() const {
-    std::size_t used = 0;
-    double max_util = 0.0;
-    double min_util = std::numeric_limits<double>::infinity();
-    for (std::size_t e = 0; e < util_.size(); ++e) {
-      if (app_count_[e] > 0) {
-        ++used;
-        max_util = std::max(max_util, util_[e]);
-        min_util = std::min(min_util, util_[e]);
-      }
-    }
-    double total = explorer_.weights_.per_ecu * static_cast<double>(used);
-    if (used > 1) {
-      total += explorer_.weights_.load_imbalance * (max_util - min_util);
-    }
-    for (const double contribution : contrib_) total += contribution;
-    return total;
+bool Explorer::IncrementalState::move(std::size_t app, std::size_t gene) {
+  // O(touched ECUs x apps + touched interfaces x replica pairs) instead of
+  // a full re-score.
+  const std::size_t n = touched_.size();
+  const std::size_t replicas = std::min(explorer_.replicas_of(app), n);
+  for (std::size_t r = 0; r < replicas; ++r) {
+    touched_[(genome_[app] + r) % n] = 1;
+    touched_[(gene + r) % n] = 1;
   }
-
- private:
-  std::size_t replicas_of(std::size_t app) const {
-    return static_cast<std::size_t>(
-        std::max(1, explorer_.apps_[app]->replicas));
-  }
-
-  bool hosted_on(std::size_t app, std::size_t ecu) const {
-    const std::size_t n = explorer_.ecus_.size();
-    const std::size_t replicas = replicas_of(app);
-    if (replicas >= n) return true;  // host run wraps the whole farm
-    const std::size_t gene = genome_[app];
-    for (std::size_t r = 0; r < replicas; ++r) {
-      if ((gene + r) % n == ecu) return true;
+  genome_[app] = gene;
+  bool memo_only = true;
+  for (std::size_t e = 0; e < n; ++e) {
+    if (touched_[e] != 0) {
+      memo_only = recompute_ecu(e) && memo_only;
+      touched_[e] = 0;
     }
+  }
+  if (verdicts_) app_ok_[app] = explorer_.app_admissible(app, gene) ? 1 : 0;
+  for (const std::size_t i : explorer_.app_interfaces_[app]) {
+    recompute_interface(i);
+  }
+  return memo_only;
+}
+
+double Explorer::IncrementalState::total() const {
+  std::size_t used = 0;
+  double max_util = 0.0;
+  double min_util = std::numeric_limits<double>::infinity();
+  for (std::size_t e = 0; e < util_.size(); ++e) {
+    if (app_count_[e] > 0) {
+      ++used;
+      max_util = std::max(max_util, util_[e]);
+      min_util = std::min(min_util, util_[e]);
+    }
+  }
+  const CostWeights& weights = explorer_.weights_;
+  double total = weights.per_ecu * static_cast<double>(used);
+  if (used > 1) total += weights.load_imbalance * (max_util - min_util);
+  // One addition per cross pair in interface order, as genome_soft_cost()
+  // does: a per-interface subtotal would round differently.
+  for (std::size_t i = 0; i < cross_pairs_.size(); ++i) {
+    const double pair_cost = explorer_.interface_info_[i].pair_cost;
+    for (std::size_t k = 0; k < cross_pairs_[i]; ++k) total += pair_cost;
+  }
+  return total;
+}
+
+bool Explorer::IncrementalState::feasible() const {
+  const auto all_set = [](const std::vector<char>& flags) {
+    return std::find(flags.begin(), flags.end(), 0) == flags.end();
+  };
+  if (explorer_.fast_.static_error || !all_set(app_ok_) ||
+      !all_set(ecu_ok_) ||
+      std::find(ifc_fatal_.begin(), ifc_fatal_.end(), 1) != ifc_fatal_.end()) {
     return false;
   }
-
-  void mark_hosts(std::size_t app, std::size_t gene) {
-    const std::size_t n = explorer_.ecus_.size();
-    const std::size_t replicas = std::min(replicas_of(app), n);
-    for (std::size_t r = 0; r < replicas; ++r) touched_[(gene + r) % n] = 1;
-  }
-
-  void recompute_ecu(std::size_t ecu) {
-    double util = 0.0;
-    int count = 0;
-    for (const std::size_t app : explorer_.apps_by_name_) {
-      if (hosted_on(app, ecu)) {
-        util += explorer_.apps_[app]->utilization_on(explorer_.ecus_[ecu]->mips);
-        ++count;
-      }
+  for (std::size_t k = 0; k < networks_; ++k) {
+    std::uint64_t load = 0;
+    for (std::size_t i = 0; i < cross_pairs_.size(); ++i) {
+      load += ifc_load_[i * networks_ + k];
     }
-    util_[ecu] = util;
-    app_count_[ecu] = count;
+    if (load > explorer_.fast_.net_budget[k]) return false;
   }
+  return true;
+}
 
-  void recompute_interface(std::size_t index) {
-    const InterfaceInfo& info = explorer_.interface_info_[index];
-    double contribution = 0.0;
-    if (info.provider_app != kNoApp) {
-      const std::size_t n = explorer_.ecus_.size();
-      const std::size_t provider_gene = genome_[info.provider_app];
-      const std::size_t provider_replicas = replicas_of(info.provider_app);
-      for (const std::size_t consumer : info.consumer_apps) {
-        if (consumer == kNoApp) continue;
-        const std::size_t consumer_gene = genome_[consumer];
-        const std::size_t consumer_replicas = replicas_of(consumer);
-        for (std::size_t p = 0; p < provider_replicas; ++p) {
-          for (std::size_t c = 0; c < consumer_replicas; ++c) {
-            if ((provider_gene + p) % n == (consumer_gene + c) % n) continue;
-            contribution += info.pair_cost;
-          }
+bool Explorer::IncrementalState::recompute_ecu(std::size_t ecu) {
+  const EcuLoad load = explorer_.gather_ecu(genome_, ecu, hosted_);
+  util_[ecu] = load.utilization;
+  app_count_[ecu] = hosted_.size();
+  bool memo_hit = true;
+  if (verdicts_) {
+    ecu_ok_[ecu] =
+        explorer_.ecu_feasible(ecu, hosted_, load, &memo_hit) ? 1 : 0;
+  }
+  return memo_hit;
+}
+
+void Explorer::IncrementalState::recompute_interface(std::size_t index) {
+  const InterfaceInfo& info = explorer_.interface_info_[index];
+  const std::size_t n = util_.size();
+  std::size_t pairs = 0;
+  bool fatal = false;
+  std::uint64_t* load = ifc_load_.data() + index * networks_;
+  std::fill(load, load + networks_, std::uint64_t{0});
+  explorer_.for_each_cross_pair(
+      info, genome_, [&](std::size_t pe, std::size_t ce) {
+        ++pairs;
+        if (!verdicts_) return;
+        const PairVerdict& verdict =
+            explorer_.fast_.pairs[(index * n + pe) * n + ce];
+        fatal = fatal || verdict.fatal;
+        if (verdict.bw_net >= 0) {
+          load[static_cast<std::size_t>(verdict.bw_net)] += info.stream_bw;
         }
-      }
-    }
-    contrib_[index] = contribution;
-  }
-
-  const Explorer& explorer_;
-  Genome genome_;
-  std::vector<double> util_;
-  std::vector<int> app_count_;
-  std::vector<double> contrib_;
-  std::vector<char> touched_;  ///< scratch ECU marks for move()
-};
+      });
+  cross_pairs_[index] = pairs;
+  ifc_fatal_[index] = fatal ? 1 : 0;
+}
 
 namespace {
 
@@ -747,12 +726,7 @@ ExplorationResult Explorer::exhaustive(std::uint64_t max_candidates,
   return result;
 }
 
-ExplorationResult Explorer::greedy() {
-  ExplorationResult result;
-  result.strategy = "greedy";
-  if (apps_.empty() || ecus_.empty()) return result;
-  const WallTimer wall;
-
+Explorer::Genome Explorer::greedy_genome(std::uint64_t& candidates) const {
   // Apps by decreasing worst-case utilization (on the slowest ECU).
   std::uint64_t min_mips = ecus_[0]->mips;
   for (const auto* ecu : ecus_) min_mips = std::min(min_mips, ecu->mips);
@@ -772,7 +746,7 @@ ExplorationResult Explorer::greedy() {
     bool placed = false;
     for (std::size_t e = 0; e < ecus_.size(); ++e) {
       hosts = hosts_for(app_index, e);
-      ++result.candidates_evaluated;
+      ++candidates;
       if (feasible(partial)) {
         genome[app_index] = e;
         placed = true;
@@ -785,7 +759,15 @@ ExplorationResult Explorer::greedy() {
       genome[app_index] = 0;
     }
   }
-  result.assignment = decode(genome);
+  return genome;
+}
+
+ExplorationResult Explorer::greedy() {
+  ExplorationResult result;
+  result.strategy = "greedy";
+  if (apps_.empty() || ecus_.empty()) return result;
+  const WallTimer wall;
+  result.assignment = decode(greedy_genome(result.candidates_evaluated));
   result.cost = cost(result.assignment);
   result.feasible = result.cost < weights_.infeasible_penalty;
   publish_metrics(result, wall.seconds());
@@ -796,25 +778,14 @@ ExplorationResult Explorer::simulated_annealing(std::uint64_t iterations,
                                                 std::uint64_t seed,
                                                 std::size_t chains,
                                                 std::size_t threads) {
-  ExplorationResult result = greedy();
+  ExplorationResult result;
   result.strategy = "annealing";
   if (apps_.empty() || ecus_.empty()) return result;
   const WallTimer wall;
   chains = std::max<std::size_t>(1, chains);
 
-  // Recover the genome from the greedy assignment.
-  Genome start(apps_.size(), 0);
-  for (std::size_t i = 0; i < apps_.size(); ++i) {
-    const auto it = result.assignment.placement.find(apps_[i]->name);
-    if (it != result.assignment.placement.end() && !it->second.empty()) {
-      for (std::size_t e = 0; e < ecus_.size(); ++e) {
-        if (ecus_[e]->name == it->second.front()) {
-          start[i] = e;
-          break;
-        }
-      }
-    }
-  }
+  // The greedy seed's trial placements count as candidates of this run.
+  const Genome start = greedy_genome(result.candidates_evaluated);
 
   struct ChainOutcome {
     Genome best;
@@ -828,14 +799,17 @@ ExplorationResult Explorer::simulated_annealing(std::uint64_t iterations,
     // on (iterations, seed, chain), never on which thread runs it.
     sim::Random rng = sim::Random::stream(seed, chain);
     ChainOutcome& out = outcomes[chain];
-    std::atomic<std::uint64_t> hits{0};
 
-    SoftCostState state(*this, start);
-    Genome current = start;
-    const bool start_feasible = cached_feasible(current, &hits);
-    double current_cost =
-        state.total() + (start_feasible ? 0.0 : weights_.infeasible_penalty);
-    out.best = current;
+    // With the cache on, the state's own verdicts judge each move; with it
+    // off, every candidate goes through the full decode-and-verify path.
+    IncrementalState state(*this, start, cache_enabled_);
+    const auto state_cost = [&] {
+      const bool feas = cache_enabled_ ? state.feasible()
+                                       : feasible(decode(state.genome()));
+      return state.total() + (feas ? 0.0 : weights_.infeasible_penalty);
+    };
+    double current_cost = state_cost();
+    out.best = start;
     double best_cost = current_cost;
 
     double temperature = std::max(1.0, current_cost * 0.1);
@@ -843,28 +817,26 @@ ExplorationResult Explorer::simulated_annealing(std::uint64_t iterations,
         0.001 / temperature, 1.0 / static_cast<double>(iterations));
     for (std::uint64_t i = 0; i < iterations; ++i) {
       const auto app =
-          static_cast<std::size_t>(rng.next_below(current.size()));
+          static_cast<std::size_t>(rng.next_below(start.size()));
       const auto gene =
           static_cast<std::size_t>(rng.next_below(ecus_.size()));
       ++out.evaluated;
-      const std::size_t old_gene = current[app];
+      const std::size_t old_gene = state.genome()[app];
       if (gene == old_gene) {
         // Identity move: delta == 0 accepts without consuming randomness,
         // matching the serial acceptance rule; nothing to recompute.
-        hits.fetch_add(1, std::memory_order_relaxed);
+        ++out.hits;
         temperature *= cooling;
         continue;
       }
-      state.move(app, gene);
-      const bool feas = cached_feasible(state.genome(), &hits);
-      const double candidate_cost =
-          state.total() + (feas ? 0.0 : weights_.infeasible_penalty);
+      const bool memo_only = state.move(app, gene);
+      if (cache_enabled_ && memo_only) ++out.hits;
+      const double candidate_cost = state_cost();
       const double delta = candidate_cost - current_cost;
       if (delta <= 0 || rng.chance(std::exp(-delta / temperature))) {
-        current[app] = gene;
         current_cost = candidate_cost;
         if (candidate_cost < best_cost) {
-          out.best = current;
+          out.best = state.genome();
           best_cost = candidate_cost;
         }
       } else {
@@ -872,7 +844,6 @@ ExplorationResult Explorer::simulated_annealing(std::uint64_t iterations,
       }
       temperature *= cooling;
     }
-    out.hits = hits.load();
   };
 
   std::optional<concurrency::ThreadPool> pool;

@@ -18,12 +18,16 @@
 //    sim::Random::stream(seed, chain) generators; the best-of-chains merge
 //    walks chains in index order.
 //  * A genome-keyed memoization cache (sharded, per-shard mutex) remembers
-//    cost and feasibility so repeated candidates skip the verifier.
-//  * Annealing's single-gene moves use an incremental evaluator that only
-//    recomputes the per-ECU utilization and per-interface communication
-//    terms the moved app touches.
+//    the cost of whole genomes for genetic fitness and the annealing
+//    chain-winner re-score. Below it, an (ECU, hosted app set) memo keeps
+//    schedulability verdicts, which recur far more often than genomes.
+//  * Annealing's single-gene moves go through IncrementalState, which
+//    recomputes only the per-ECU, per-app and per-interface soft-cost terms
+//    and feasibility verdicts the moved app touches; annealing never looks
+//    up or fills the genome cache.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -45,8 +49,10 @@ struct ExplorationResult {
   model::Assignment assignment;
   double cost = 0.0;
   std::uint64_t candidates_evaluated = 0;
-  /// Candidates whose cost/feasibility came from the memoization cache
-  /// (verifier skipped). Always <= candidates_evaluated.
+  /// Candidates judged without running the verifier afresh; always <=
+  /// candidates_evaluated. Exhaustive and genetic: genomes whose cost came
+  /// from the genome cache. Annealing: identity moves, plus moves whose
+  /// touched-ECU verdicts all came from the (ECU, app set) memo.
   std::uint64_t cache_hits = 0;
   std::string strategy;
 };
@@ -111,7 +117,8 @@ class Explorer {
  private:
   /// White-box access for the fast-path cross-validation tests
   /// (tests/concurrency_test.cpp), which compare fast_feasible() /
-  /// genome_soft_cost() against the full verifier genome by genome.
+  /// genome_soft_cost() and IncrementalState against the full verifier
+  /// genome by genome.
   friend class TestProbe;
 
   using Genome = std::vector<std::size_t>;  // app index -> ecu index
@@ -131,16 +138,9 @@ class Explorer {
     }
   };
 
-  struct CacheEntry {
-    double cost = 0.0;
-    bool has_cost = false;
-    bool feasible = false;
-    bool has_feasible = false;
-  };
-
   struct CacheShard {
     std::mutex mutex;
-    std::unordered_map<Genome, CacheEntry, GenomeHash> entries;
+    std::unordered_map<Genome, double, GenomeHash> costs;
   };
 
   /// Second memoization level below the genome cache: the verifier's
@@ -209,9 +209,53 @@ class Explorer {
   static constexpr std::size_t kNoApp = static_cast<std::size_t>(-1);
   static constexpr std::size_t kCacheShards = 16;
 
-  /// Incremental soft-cost evaluator for annealing's single-gene moves;
-  /// defined in exploration.cpp.
-  class SoftCostState;
+  /// Annealing's incremental evaluator: holds one genome with its soft-cost
+  /// terms and feasibility verdicts per ECU, per app and per interface. A
+  /// single-gene move recomputes only the parts it touches, each from
+  /// scratch (never as a +/- delta), so the state is a pure function of the
+  /// current genome however many moves were applied or reverted. total()
+  /// is bit-equal to genome_soft_cost() and feasible() verdict-equal to
+  /// fast_feasible().
+  class IncrementalState {
+   public:
+    /// `verdicts` = false keeps the soft cost only; the cache-off path
+    /// judges feasibility with the full verifier instead.
+    IncrementalState(const Explorer& explorer, Genome genome, bool verdicts);
+
+    const Genome& genome() const { return genome_; }
+    /// Re-hosts `app` on the ECU run starting at `gene`. Returns true iff
+    /// no touched ECU ran its schedulability test afresh (every verdict
+    /// came from the (ECU, app set) memo or needed none).
+    bool move(std::size_t app, std::size_t gene);
+    /// Soft cost of the current genome (no infeasibility penalty).
+    double total() const;
+    /// Hard feasibility of the current genome; needs `verdicts`.
+    bool feasible() const;
+
+   private:
+    bool recompute_ecu(std::size_t ecu);
+    void recompute_interface(std::size_t index);
+
+    const Explorer& explorer_;
+    const bool verdicts_;
+    const std::size_t networks_;
+    Genome genome_;
+    std::vector<double> util_;              ///< per ECU
+    std::vector<std::size_t> app_count_;    ///< per ECU
+    std::vector<char> ecu_ok_;              ///< per ECU
+    std::vector<char> app_ok_;              ///< per app: host admissibility
+    std::vector<std::size_t> cross_pairs_;  ///< per interface
+    std::vector<char> ifc_fatal_;           ///< per interface
+    std::vector<std::uint64_t> ifc_load_;   ///< [ifc * networks_ + net]
+    std::vector<char> touched_;             ///< scratch ECU marks for move()
+    std::vector<const model::AppDef*> hosted_;  ///< scratch for recompute
+  };
+
+  /// Per-ECU sums over the apps one ECU hosts.
+  struct EcuLoad {
+    double utilization = 0.0;
+    std::size_t memory = 0;
+  };
 
   model::Assignment decode(const Genome& genome) const;
   double genome_cost(const Genome& genome) const;
@@ -220,25 +264,56 @@ class Explorer {
   double soft_cost(const model::Assignment& assignment) const;
 
   void build_fast_model();
+  std::size_t replicas_of(std::size_t app) const {
+    return static_cast<std::size_t>(std::max(1, apps_[app]->replicas));
+  }
   /// True iff app's replica run starting at `gene` covers `ecu`.
   bool genome_hosted_on(std::size_t app, std::size_t gene,
                         std::size_t ecu) const;
+  /// Fills `hosted` with the apps `genome` puts on `ecu`, in name order
+  /// (as Assignment::apps_on yields them), and sums their load in that
+  /// order, so the floating-point sum is bit-equal to the verifier's.
+  EcuLoad gather_ecu(const Genome& genome, std::size_t ecu,
+                     std::vector<const model::AppDef*>& hosted) const;
+  /// Memory, MMU, cpu.overload and schedulability verdict of one ECU for
+  /// the apps gather_ecu() found on it. `memo_hit` (may be null) is
+  /// cleared when the schedulability test ran afresh.
+  bool ecu_feasible(std::size_t ecu,
+                    const std::vector<const model::AppDef*>& hosted,
+                    const EcuLoad& load, bool* memo_hit) const;
+  /// asil.ecu-certification and cpu.rtos-required over app's host run.
+  bool app_admissible(std::size_t app, std::size_t gene) const;
+  /// Calls fn(provider_ecu, consumer_ecu) for every cross-ECU host pair of
+  /// interface `info` under `genome`, in the verifier's pair order.
+  /// Replica loops are not capped at |ecus|: the verifier iterates the
+  /// placement's host list, and without a static redundancy error the run
+  /// never wraps, so the loop count equals the host count.
+  template <typename Fn>
+  void for_each_cross_pair(const InterfaceInfo& info, const Genome& genome,
+                           Fn&& fn) const;
   /// Verdict-identical to feasible(decode(genome)), via FastModel tables.
   bool fast_feasible(const Genome& genome) const;
   /// Bit-identical to soft_cost(decode(genome)): same terms accumulated in
-  /// the same order (per-ECU sums walk apps_by_name_, mirroring
-  /// Assignment::apps_on), without materializing the assignment.
+  /// the same order, without materializing the assignment.
   double genome_soft_cost(const Genome& genome) const;
   /// genome_cost via the fast path when the cache is enabled, else the
   /// legacy decode-and-verify path (the bench baseline).
   double evaluate_genome(const Genome& genome) const;
 
-  /// Cache-backed variants; safe to call from pool workers. `hits` (may be
-  /// null) is bumped when the verifier was skipped.
+  /// Genome-cache-backed evaluate_genome(); safe to call from pool
+  /// workers. `hits` (may be null) is bumped on a cache hit.
   double cached_genome_cost(const Genome& genome,
                             std::atomic<std::uint64_t>* hits) const;
-  bool cached_feasible(const Genome& genome,
-                       std::atomic<std::uint64_t>* hits) const;
+
+  /// The (ECU, app set) memo around sched_test_ (bypassed when the cache is
+  /// off). `memo_hit` (may be null) is cleared on a miss.
+  bool memo_schedulable(const model::EcuDef& ecu,
+                        const std::vector<const model::AppDef*>& apps,
+                        std::string* why, bool* memo_hit) const;
+
+  /// Greedy first-fit decreasing as a genome, counting each trial
+  /// placement into `candidates`; publishes nothing.
+  Genome greedy_genome(std::uint64_t& candidates) const;
 
   /// Apps with replicas occupy `replicas` consecutive ECUs starting at the
   /// gene value (wrapping), so every genome stays replica-complete.
@@ -251,9 +326,8 @@ class Explorer {
   const model::SystemModel& model_;
   CostWeights weights_;
   model::Verifier verifier_;
-  /// The (ECU, app set) memo around make_verifier_hook(); installed into
-  /// verifier_ and called directly by fast_feasible().
-  model::Verifier::SchedulabilityHook sched_memo_;
+  /// make_verifier_hook(): the exact RTA / TT-synthesis test.
+  model::Verifier::SchedulabilityHook sched_test_;
   std::vector<const model::AppDef*> apps_;
   std::vector<const model::EcuDef*> ecus_;
 

@@ -36,6 +36,14 @@ class TestProbe {
                ? e.genome_soft_cost(g)
                : e.weights_.infeasible_penalty + e.genome_soft_cost(g);
   }
+  /// Annealing's incremental evaluator, verdicts on.
+  using State = Explorer::IncrementalState;
+  static State state(const Explorer& e, Genome g) {
+    return State(e, std::move(g), true);
+  }
+  static double state_cost(const Explorer& e, const State& s) {
+    return (s.feasible() ? 0.0 : e.weights_.infeasible_penalty) + s.total();
+  }
 };
 
 }  // namespace dse
@@ -236,6 +244,20 @@ TEST(DseDeterminism, AnnealingChainsMatchAcrossThreadCounts) {
                    parallel_explorer.simulated_annealing(1'500, 13, 4, 4));
 }
 
+TEST(DseDeterminism, AnnealingCacheDoesNotChangeResults) {
+  // Cache on: the incremental verdicts judge each move. Cache off: every
+  // candidate goes through the full decode-and-verify path.
+  auto sys = dse_system(8, 4);
+  dse::Explorer cached(sys.model);
+  dse::Explorer uncached(sys.model);
+  uncached.set_cache_enabled(false);
+  const auto with_cache = cached.simulated_annealing(1'500, 13, 4, 4);
+  const auto without_cache = uncached.simulated_annealing(1'500, 13, 4, 0);
+  expect_identical(with_cache, without_cache);
+  EXPECT_LE(with_cache.cache_hits, with_cache.candidates_evaluated);
+  EXPECT_GT(with_cache.cache_hits, without_cache.cache_hits);
+}
+
 TEST(DseDeterminism, RepeatedRunHitsMemoCache) {
   auto sys = dse_system(8, 4);
   dse::Explorer explorer(sys.model);
@@ -305,6 +327,57 @@ std::pair<int, int> cross_validate(const model::SystemModel& system,
   return {feasible_count, infeasible_count};
 }
 
+// Seeded random walk of single-gene moves through annealing's incremental
+// state, half of them reverted by moving back as annealing does. After every
+// move and every revert the state's verdict must equal both fast_feasible()
+// and the full verifier, and its cost must equal cost(decode(g)) bit for bit.
+// Returns {feasible, infeasible} counts over the visited genomes.
+std::pair<int, int> walk_incremental(const model::SystemModel& system,
+                                     std::uint64_t moves,
+                                     std::uint64_t seed) {
+  dse::Explorer explorer(system);
+  const std::size_t n_apps = system.apps().size();
+  const std::size_t n_ecus = system.ecus().size();
+  int feasible_count = 0;
+  int infeasible_count = 0;
+
+  sim::Random rng(seed);
+  std::vector<std::size_t> start(n_apps);
+  for (auto& gene : start) {
+    gene = static_cast<std::size_t>(rng.next_below(n_ecus));
+  }
+  auto state = dse::TestProbe::state(explorer, start);
+  const auto check = [&] {
+    const auto& genome = state.genome();
+    const auto assignment = dse::TestProbe::decode(explorer, genome);
+    const bool verdict = state.feasible();
+    ASSERT_EQ(verdict, dse::TestProbe::fast_feasible(explorer, genome));
+    ASSERT_EQ(verdict, explorer.feasible(assignment));
+    // Bit for bit, no tolerance.
+    ASSERT_EQ(dse::TestProbe::state_cost(explorer, state),
+              explorer.cost(assignment));
+    if (verdict) {
+      ++feasible_count;
+    } else {
+      ++infeasible_count;
+    }
+  };
+
+  check();
+  for (std::uint64_t k = 0; k < moves; ++k) {
+    const auto app = static_cast<std::size_t>(rng.next_below(n_apps));
+    const auto gene = static_cast<std::size_t>(rng.next_below(n_ecus));
+    const std::size_t old_gene = state.genome()[app];
+    state.move(app, gene);
+    check();
+    if (rng.chance(0.5)) {
+      state.move(app, old_gene);
+      check();
+    }
+  }
+  return {feasible_count, infeasible_count};
+}
+
 TEST(DseFastPath, MatchesVerifierOnBaselineChain) {
   auto sys = dse_system(6, 3);  // full 3^6 sweep
   const auto [ok, bad] = cross_validate(sys.model, 0, 0);
@@ -312,30 +385,78 @@ TEST(DseFastPath, MatchesVerifierOnBaselineChain) {
   EXPECT_GT(bad, 0);  // six 0.2-util apps overload any single ECU
 }
 
+// Every per-(app, ECU) and per-ECU rule can fire: an uncertified ECU
+// (asil=A), a POSIX ECU (rtos rule), an MMU-less ECU, a memory-tight ECU,
+// plus a replicated app and a nondeterministic one.
+const std::string kHeterogeneousFarm =
+    "network Net kind=ethernet bitrate=1G\n"
+    "ecu Strong mips=2000 memory=256M asil=D network=Net\n"
+    "ecu Uncert mips=2000 memory=256M asil=A network=Net\n"
+    "ecu Posix  mips=2000 memory=256M asil=D os=posix network=Net\n"
+    "ecu NoMmu  mips=2000 memory=256M asil=D mmu=no network=Net\n"
+    "ecu Tiny   mips=2000 memory=6M   asil=D network=Net\n"
+    "interface Cmd paradigm=event payload=128 period=10ms\n"
+    "app Pilot class=deterministic asil=C memory=4M replicas=2\n"
+    "  task t period=10ms wcet=2M\n"
+    "  provides Cmd\n"
+    "app Logger class=nondeterministic asil=QM memory=4M\n"
+    "  task t period=20ms wcet=1M\n"
+    "  consumes Cmd\n"
+    "app Filter class=deterministic asil=B memory=4M\n"
+    "  task t period=10ms wcet=3M\n"
+    "  consumes Cmd\n";
+
 TEST(DseFastPath, MatchesVerifierOnHeterogeneousFarm) {
-  // Every per-(app, ECU) and per-ECU rule can fire: an uncertified ECU
-  // (asil=A), a POSIX ECU (rtos rule), an MMU-less ECU, a memory-tight ECU,
-  // plus a replicated app and a nondeterministic one.
-  const std::string dsl =
-      "network Net kind=ethernet bitrate=1G\n"
-      "ecu Strong mips=2000 memory=256M asil=D network=Net\n"
-      "ecu Uncert mips=2000 memory=256M asil=A network=Net\n"
-      "ecu Posix  mips=2000 memory=256M asil=D os=posix network=Net\n"
-      "ecu NoMmu  mips=2000 memory=256M asil=D mmu=no network=Net\n"
-      "ecu Tiny   mips=2000 memory=6M   asil=D network=Net\n"
-      "interface Cmd paradigm=event payload=128 period=10ms\n"
-      "app Pilot class=deterministic asil=C memory=4M replicas=2\n"
-      "  task t period=10ms wcet=2M\n"
-      "  provides Cmd\n"
-      "app Logger class=nondeterministic asil=QM memory=4M\n"
-      "  task t period=20ms wcet=1M\n"
-      "  consumes Cmd\n"
-      "app Filter class=deterministic asil=B memory=4M\n"
-      "  task t period=10ms wcet=3M\n"
-      "  consumes Cmd\n";
-  const auto [ok, bad] = cross_validate(model::parse_system(dsl).model, 0, 0);
+  const auto [ok, bad] =
+      cross_validate(model::parse_system(kHeterogeneousFarm).model, 0, 0);
   EXPECT_GT(ok, 0);
   EXPECT_GT(bad, 0);
+}
+
+TEST(DseFastPath, IncrementalVerdictTracksVerifier) {
+  {
+    SCOPED_TRACE("heterogeneous farm");
+    const auto [ok, bad] = walk_incremental(
+        model::parse_system(kHeterogeneousFarm).model, 2'000, 5);
+    EXPECT_GT(ok, 0);
+    EXPECT_GT(bad, 0);
+  }
+  {
+    // A replicated stream provider whose cross-ECU pairs each take 2 of
+    // the 7.5 Mbit/s Ethernet budget, so the bandwidth verdict turns on
+    // how many pairs a move splits. A CAN ECU makes some pairs unreachable
+    // and an uncertified ECU rejects every app. Each app loads a core to
+    // 0.6: two on a single-core ECU overload it, and three on the
+    // dual-core ECU pass cpu.overload (1.8 <= 2) but fit no partition, so
+    // only the schedulability test rejects them.
+    SCOPED_TRACE("replicated stream over a tight budget");
+    const std::string dsl =
+        "network Eth kind=ethernet bitrate=10M\n"
+        "network Bus kind=can bitrate=500K\n"
+        "ecu E0 mips=2000 memory=256M asil=D network=Eth\n"
+        "ecu E1 mips=2000 memory=256M asil=D network=Eth\n"
+        "ecu Dual mips=2000 cores=2 memory=256M asil=D network=Eth\n"
+        "ecu Cert mips=2000 memory=256M asil=A network=Eth\n"
+        "ecu C0 mips=2000 memory=256M asil=D network=Bus\n"
+        "interface Video paradigm=stream payload=1400 period=1ms "
+        "bandwidth=2M\n"
+        "interface Track paradigm=event payload=64 period=10ms\n"
+        "app Cam class=deterministic asil=C memory=4M replicas=2\n"
+        "  task t period=10ms wcet=12M\n"
+        "  provides Video\n"
+        "app Fuse class=deterministic asil=B memory=4M\n"
+        "  task t period=10ms wcet=12M\n"
+        "  consumes Video\n"
+        "  provides Track\n"
+        "app Disp class=deterministic asil=B memory=4M\n"
+        "  task t period=10ms wcet=12M\n"
+        "  consumes Video\n"
+        "  consumes Track\n";
+    const auto [ok, bad] =
+        walk_incremental(model::parse_system(dsl).model, 2'000, 11);
+    EXPECT_GT(ok, 0);
+    EXPECT_GT(bad, 0);
+  }
 }
 
 TEST(DseFastPath, MatchesVerifierOnNetworkRules) {

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "model/parser.hpp"
+#include "obs/metrics.hpp"
 
 namespace dynaplat::dse {
 namespace {
@@ -287,6 +288,29 @@ TEST(Explorer, ReplicatedAppsLandOnDistinctEcus) {
   const auto& hosts = result.assignment.placement.at("Critical");
   ASSERT_EQ(hosts.size(), 2u);
   EXPECT_NE(hosts[0], hosts[1]);
+}
+
+TEST(Explorer, PublishesEachRunsCountersOnce) {
+  // Annealing seeds itself with greedy's placement; that must not publish
+  // dse.greedy.* a second time, though greedy's trial placements still
+  // count among annealing's candidates.
+  auto sys = explorer_system(6, 3);
+  Explorer explorer(sys.model);
+  obs::MetricsRegistry metrics;
+  explorer.set_metrics(&metrics);
+  const auto greedy = explorer.greedy();
+  const auto annealed = explorer.simulated_annealing(2'000, 7, 2, 0);
+  const auto genetic = explorer.genetic(16, 30, 11, 2);
+  EXPECT_GT(annealed.candidates_evaluated, 2u * 2'000u);
+  for (const ExplorationResult* result : {&greedy, &annealed, &genetic}) {
+    const std::string prefix = "dse." + result->strategy + ".";
+    EXPECT_EQ(metrics.counter(prefix + "candidates").value(),
+              result->candidates_evaluated)
+        << result->strategy;
+    EXPECT_EQ(metrics.counter(prefix + "cache_hits").value(),
+              result->cache_hits)
+        << result->strategy;
+  }
 }
 
 // Parameterized sweep: utilization level at which greedy still packs onto
