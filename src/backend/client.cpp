@@ -2,12 +2,9 @@
 
 #include <algorithm>
 
-namespace dynaplat::backend {
+#include "obs/fnv.hpp"
 
-namespace {
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-}  // namespace
+namespace dynaplat::backend {
 
 const char* to_string(BreakerState state) {
   switch (state) {
@@ -397,7 +394,7 @@ void BackendClient::finish(std::uint64_t id, const BackendOutcome& outcome) {
 }
 
 std::uint64_t BackendClient::fingerprint() const {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = obs::kFnvSeed;
   const std::uint64_t fields[] = {
       attempts_,      timeouts_,        breaker_opens_,
       breaker_fast_fails_, stale_served_, local_admissions_,
@@ -405,13 +402,7 @@ std::uint64_t BackendClient::fingerprint() const {
       static_cast<std::uint64_t>(consecutive_failures_),
       static_cast<std::uint64_t>(cache_.size()),
       static_cast<std::uint64_t>(pending_.size())};
-  for (const std::uint64_t field : fields) {
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(&field);
-    for (std::size_t i = 0; i < sizeof(field); ++i) {
-      hash ^= bytes[i];
-      hash *= kFnvPrime;
-    }
-  }
+  for (const std::uint64_t field : fields) hash = obs::fnv1a_u64(hash, field);
   return hash;
 }
 

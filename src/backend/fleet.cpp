@@ -2,23 +2,14 @@
 
 #include <algorithm>
 
+#include "obs/fnv.hpp"
 #include "sim/random.hpp"
 
 namespace dynaplat::backend {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-  for (std::size_t i = 0; i < sizeof(value); ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
+using obs::fnv1a_u64;
 
 // Stream-id namespaces under FleetConfig::seed. Keep these distinct from
 // each other; jitter streams use the session index directly on the
@@ -85,50 +76,20 @@ FleetDriver::FleetDriver(sim::Simulator& simulator,
   config_.topology_classes = std::max<std::size_t>(config_.topology_classes, 1);
 }
 
-FleetDriver::~FleetDriver() {
+FleetDriver::~FleetDriver() { cancel_events(); }
+
+void FleetDriver::cancel_events() {
+  // Freeing a live slab entry cancels its timeout/resubmit and bumps its
+  // generation, so a response still owed by the service no-ops.
   for (std::size_t idx = 0; idx < pending_.size(); ++idx) {
     if (!pending_[idx].in_use) continue;
-    cancel_timer(pending_[idx].timeout);
-    cancel_timer(pending_[idx].resubmit);
+    free_pending((static_cast<std::uint64_t>(idx) + 1) << 32 |
+                 pending_[idx].gen);
   }
-  for (Timer& timer : ota_timers_) cancel_timer(timer);
-}
-
-// --- Timer facade over the wheel / kernel-heap arms --------------------------
-
-FleetDriver::Timer FleetDriver::timer_at(sim::Time at, sim::InlineFunction fn) {
-  Timer timer{};
-  if (wheel_) {
-    timer.wt = wheel_->schedule_at(at, std::move(fn));
-  } else {
-    timer.ev = sim_.schedule_at(std::max(at, sim_.now()), std::move(fn));
-  }
-  return timer;
-}
-
-FleetDriver::Timer FleetDriver::timer_in(sim::Duration delay,
-                                         sim::InlineFunction fn) {
-  return timer_at(sim_.now() + std::max<sim::Duration>(delay, 0),
-                  std::move(fn));
-}
-
-FleetDriver::Timer FleetDriver::timer_every(sim::Time first,
-                                            sim::Duration period,
-                                            sim::InlineFunction fn) {
-  Timer timer{};
-  if (wheel_) {
-    timer.wt = wheel_->schedule_every(first, period, std::move(fn));
-  } else {
-    timer.ev = sim_.schedule_every(std::max(first, sim_.now()), period,
-                                   std::move(fn));
-  }
-  return timer;
-}
-
-void FleetDriver::cancel_timer(Timer& timer) {
-  if (timer.wt.valid() && wheel_) wheel_->cancel(timer.wt);
-  if (timer.ev.valid()) sim_.cancel(timer.ev);
-  timer = Timer{};
+  for (const sim::EventId id : ota_timers_) sim_.cancel(id);
+  ota_timers_.clear();
+  for (const sim::EventId id : session_timer_) sim_.cancel(id);
+  for (const sim::EventId id : outage_events_) sim_.cancel(id);
 }
 
 // --- Fleet construction ------------------------------------------------------
@@ -149,15 +110,8 @@ void FleetDriver::build_classes() {
 
 void FleetDriver::reset_sessions() {
   // Tear down anything a previous run() left in flight before the state it
-  // points at is rebuilt: free live slab entries (bumps generations, so a
-  // stale timeout/resubmit firing later no-ops) and bump the epoch (so a
-  // stale cadence/wave timer no-ops).
-  for (std::size_t idx = 0; idx < pending_.size(); ++idx) {
-    if (!pending_[idx].in_use) continue;
-    free_pending((static_cast<std::uint64_t>(idx) + 1) << 32 |
-                 pending_[idx].gen);
-  }
-  ++epoch_;
+  // points at is rebuilt.
+  cancel_events();
 
   build_classes();
 
@@ -170,6 +124,7 @@ void FleetDriver::reset_sessions() {
   open_until_.assign(n, 0);
   unsafe_since_.assign(n, 0);
   recovery_issued_.assign(n, 0);
+  session_timer_.assign(n, sim::EventId{});
   for (std::size_t i = 0; i < n; ++i) {
     class_of_[i] = static_cast<std::uint32_t>(i % config_.topology_classes);
     if (config_.topology_drift_fraction <= 0.0) continue;
@@ -192,26 +147,17 @@ void FleetDriver::reset_sessions() {
 
   unsafe_now_ = 0;
   degraded_now_ = 0;
-
-  // Rebuild the wheel per run: destroying it cancels every kernel event it
-  // owns, which is what makes the previous run's wheel timers vanish.
-  wheel_.reset();
-  if (config_.use_timer_wheel) {
-    wheel_ = std::make_unique<sim::TimerWheel>(sim_, config_.wheel);
-  }
 }
 
 void FleetDriver::run() {
   reset_sessions();
-  const std::uint32_t epoch = epoch_;
   // All config instants are relative to the run's start, so a re-run on a
   // simulator whose clock already advanced replays the same scenario shape.
   const sim::Time start = sim_.now();
 
   // Staggered routine OTA resync cadence. With a phase grid the stagger is
-  // quantized onto shared instants: one wheel batch — and, service-side,
-  // one request cohort — per tick instant instead of one event per
-  // session.
+  // quantized onto shared instants: one service-side request cohort per
+  // tick instant.
   if (config_.ota_period > 0) {
     ota_timers_.reserve(config_.sessions);
     for (std::size_t i = 0; i < config_.sessions; ++i) {
@@ -221,10 +167,8 @@ void FleetDriver::run() {
         first = first / config_.ota_phase_grid * config_.ota_phase_grid;
       }
       const std::uint32_t s = static_cast<std::uint32_t>(i);
-      ota_timers_.push_back(
-          timer_every(start + first, config_.ota_period, [this, s, epoch] {
-            if (epoch == epoch_) issue_ota(s);
-          }));
+      ota_timers_.push_back(sim_.schedule_every(
+          start + first, config_.ota_period, [this, s] { issue_ota(s); }));
     }
   }
 
@@ -239,9 +183,7 @@ void FleetDriver::run() {
           static_cast<sim::Duration>(draw.uniform01() *
                                      static_cast<double>(config_.wave_stagger));
       const std::uint32_t s = static_cast<std::uint32_t>(i);
-      timer_at(at, [this, s, epoch] {
-        if (epoch == epoch_) hit_with_wave(s);
-      });
+      session_timer_[s] = sim_.schedule_at(at, [this, s] { hit_with_wave(s); });
     }
   }
 
@@ -249,20 +191,17 @@ void FleetDriver::run() {
   if (config_.outage_at > 0 && config_.outage_duration > 0) {
     heal_time_ = start + config_.outage_at + config_.outage_duration;
     FleetScheduleService* target = services_.front();
+    const sim::Time outage_start = start + config_.outage_at;
     if (config_.outage_is_partition) {
-      sim_.schedule_at(start + config_.outage_at, [this, target, epoch] {
-        if (epoch == epoch_) target->set_partitioned(true);
-      });
-      sim_.schedule_at(heal_time_, [this, target, epoch] {
-        if (epoch == epoch_) target->set_partitioned(false);
-      });
+      outage_events_ = {
+          sim_.schedule_at(outage_start,
+                           [target] { target->set_partitioned(true); }),
+          sim_.schedule_at(heal_time_,
+                           [target] { target->set_partitioned(false); })};
     } else {
-      sim_.schedule_at(start + config_.outage_at, [this, target, epoch] {
-        if (epoch == epoch_) target->crash();
-      });
-      sim_.schedule_at(heal_time_, [this, target, epoch] {
-        if (epoch == epoch_) target->restart();
-      });
+      outage_events_ = {
+          sim_.schedule_at(outage_start, [target] { target->crash(); }),
+          sim_.schedule_at(heal_time_, [target] { target->restart(); })};
     }
   }
 
@@ -271,7 +210,7 @@ void FleetDriver::run() {
   // Drain: stop issuing routine work and let everything in flight settle,
   // so the end-of-run invariants (backend drained, recoveries complete)
   // judge a quiescent system rather than the arbitrary horizon cut.
-  for (Timer& timer : ota_timers_) cancel_timer(timer);
+  for (const sim::EventId id : ota_timers_) sim_.cancel(id);
   ota_timers_.clear();
   if (config_.drain_grace > 0) {
     sim_.run_until(start + config_.horizon + config_.drain_grace);
@@ -363,8 +302,8 @@ std::uint64_t FleetDriver::begin_request(std::uint32_t s, std::uint8_t kind) {
   pending.in_use = true;
   pending.backoff = 0;
   pending.issued = sim_.now();
-  pending.timeout = Timer{};
-  pending.resubmit = Timer{};
+  pending.timeout = {};
+  pending.resubmit = {};
   const std::uint64_t id =
       (static_cast<std::uint64_t>(idx) + 1) << 32 | pending.gen;
   start_attempt(id);
@@ -385,8 +324,8 @@ FleetDriver::Pending* FleetDriver::lookup(std::uint64_t id) {
 void FleetDriver::free_pending(std::uint64_t id) {
   Pending* pending = lookup(id);
   if (pending == nullptr) return;
-  cancel_timer(pending->timeout);
-  cancel_timer(pending->resubmit);
+  sim_.cancel(pending->timeout);
+  sim_.cancel(pending->resubmit);
   pending->in_use = false;
   ++pending->gen;
   pending->next_free = pending_free_;
@@ -396,7 +335,7 @@ void FleetDriver::free_pending(std::uint64_t id) {
 void FleetDriver::start_attempt(std::uint64_t id) {
   Pending* pending = lookup(id);
   if (pending == nullptr) return;
-  pending->resubmit = Timer{};
+  pending->resubmit = {};
   const std::uint32_t s = pending->session;
   const std::uint8_t home = home_region(s);
   std::uint8_t target = home;
@@ -431,15 +370,16 @@ void FleetDriver::start_attempt(std::uint64_t id) {
                             [this, id, token](const SynthesisResponse& response) {
                               on_response(id, token, response);
                             });
-  pending->timeout = timer_in(config_.client.request_timeout,
-                              [this, id] { on_timeout(id); });
+  pending->timeout = sim_.schedule_in(config_.client.request_timeout,
+                                     [this, id] { on_timeout(id); });
 }
 
 void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
                               const SynthesisResponse& response) {
   Pending* pending = lookup(id);
   if (pending == nullptr || pending->attempt_token != token) return;
-  cancel_timer(pending->timeout);
+  sim_.cancel(pending->timeout);
+  pending->timeout = {};
   const std::uint32_t s = pending->session;
   const bool was_home = pending->target_region == home_region(s);
   switch (response.status) {
@@ -481,7 +421,7 @@ void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
 void FleetDriver::on_timeout(std::uint64_t id) {
   Pending* pending = lookup(id);
   if (pending == nullptr) return;
-  pending->timeout = Timer{};
+  pending->timeout = {};
   ++timeouts_;
   ++pending->attempt_token;  // a late response to this attempt is ignored
   if (pending->target_region == home_region(pending->session)) {
@@ -503,7 +443,8 @@ void FleetDriver::retry_or_fail(std::uint64_t id, sim::Duration floor_delay) {
     return;
   }
   const sim::Duration delay = std::max(next_backoff(*pending), floor_delay);
-  pending->resubmit = timer_in(delay, [this, id] { start_attempt(id); });
+  pending->resubmit =
+      sim_.schedule_in(delay, [this, id] { start_attempt(id); });
 }
 
 sim::Duration FleetDriver::next_backoff(Pending& pending) {
@@ -616,10 +557,8 @@ void FleetDriver::on_recovery_outcome(std::uint32_t s,
     // is the stranding the no-fallback ablation arm exhibits.
     ++fallback_none_;
   }
-  const std::uint32_t epoch = epoch_;
-  timer_in(config_.recovery_retry, [this, s, epoch] {
-    if (epoch == epoch_) issue_recovery(s);
-  });
+  session_timer_[s] = sim_.schedule_in(config_.recovery_retry,
+                                       [this, s] { issue_recovery(s); });
 }
 
 void FleetDriver::mark_safe(std::uint32_t s, bool recovered) {
@@ -672,49 +611,49 @@ double FleetDriver::latency_quantile_ms(double q) const {
 }
 
 std::uint64_t FleetDriver::fingerprint() const {
-  std::uint64_t hash = kFnvOffset;
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(unsafe_now_));
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(peak_unsafe_));
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(max_unsafe_duration_));
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(degraded_now_));
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(last_recovery_done_));
-  hash = fnv_mix(hash, ota_completed_);
-  hash = fnv_mix(hash, ota_deferred_);
-  hash = fnv_mix(hash, recoveries_completed_);
-  hash = fnv_mix(hash, fallback_cache_);
-  hash = fnv_mix(hash, fallback_local_);
-  hash = fnv_mix(hash, fallback_none_);
-  hash = fnv_mix(hash, attempts_);
-  hash = fnv_mix(hash, timeouts_);
-  hash = fnv_mix(hash, breaker_opens_);
-  hash = fnv_mix(hash, breaker_fast_fails_);
-  hash = fnv_mix(hash, stale_served_);
-  hash = fnv_mix(hash, local_admissions_);
-  hash = fnv_mix(hash, revalidated_);
-  hash = fnv_mix(hash, exhausted_);
-  hash = fnv_mix(hash, failovers_);
-  hash = fnv_mix(hash, lat_count_);
-  hash = fnv_mix(hash, lat_sum_);
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(lat_max_));
-  for (const std::uint64_t bucket : lat_hist_) hash = fnv_mix(hash, bucket);
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(latencies_.size()));
+  std::uint64_t hash = obs::kFnvSeed;
+  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(unsafe_now_));
+  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(peak_unsafe_));
+  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(max_unsafe_duration_));
+  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(degraded_now_));
+  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(last_recovery_done_));
+  hash = fnv1a_u64(hash, ota_completed_);
+  hash = fnv1a_u64(hash, ota_deferred_);
+  hash = fnv1a_u64(hash, recoveries_completed_);
+  hash = fnv1a_u64(hash, fallback_cache_);
+  hash = fnv1a_u64(hash, fallback_local_);
+  hash = fnv1a_u64(hash, fallback_none_);
+  hash = fnv1a_u64(hash, attempts_);
+  hash = fnv1a_u64(hash, timeouts_);
+  hash = fnv1a_u64(hash, breaker_opens_);
+  hash = fnv1a_u64(hash, breaker_fast_fails_);
+  hash = fnv1a_u64(hash, stale_served_);
+  hash = fnv1a_u64(hash, local_admissions_);
+  hash = fnv1a_u64(hash, revalidated_);
+  hash = fnv1a_u64(hash, exhausted_);
+  hash = fnv1a_u64(hash, failovers_);
+  hash = fnv1a_u64(hash, lat_count_);
+  hash = fnv1a_u64(hash, lat_sum_);
+  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(lat_max_));
+  for (const std::uint64_t bucket : lat_hist_) hash = fnv1a_u64(hash, bucket);
+  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(latencies_.size()));
   for (const sim::Duration latency : latencies_) {
-    hash = fnv_mix(hash, static_cast<std::uint64_t>(latency));
+    hash = fnv1a_u64(hash, static_cast<std::uint64_t>(latency));
   }
   const std::size_t n = state_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    hash = fnv_mix(hash, static_cast<std::uint64_t>(state_[i]) |
+    hash = fnv1a_u64(hash, static_cast<std::uint64_t>(state_[i]) |
                              static_cast<std::uint64_t>(flags_[i]) << 8 |
                              static_cast<std::uint64_t>(breaker_[i]) << 16 |
                              static_cast<std::uint64_t>(jitter_draws_[i])
                                  << 32);
-    hash = fnv_mix(hash, class_of_[i]);
-    hash = fnv_mix(hash, static_cast<std::uint64_t>(open_until_[i]));
-    hash = fnv_mix(hash, static_cast<std::uint64_t>(unsafe_since_[i]));
-    hash = fnv_mix(hash, static_cast<std::uint64_t>(recovery_issued_[i]));
+    hash = fnv1a_u64(hash, class_of_[i]);
+    hash = fnv1a_u64(hash, static_cast<std::uint64_t>(open_until_[i]));
+    hash = fnv1a_u64(hash, static_cast<std::uint64_t>(unsafe_since_[i]));
+    hash = fnv1a_u64(hash, static_cast<std::uint64_t>(recovery_issued_[i]));
   }
   for (const FleetScheduleService* service : services_) {
-    hash = fnv_mix(hash, service->fingerprint());
+    hash = fnv1a_u64(hash, service->fingerprint());
   }
   return hash;
 }

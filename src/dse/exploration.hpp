@@ -39,6 +39,7 @@
 
 #include "model/system_model.hpp"
 #include "model/verifier.hpp"
+#include "obs/fnv.hpp"
 #include "obs/metrics.hpp"
 #include "sim/random.hpp"
 
@@ -123,13 +124,14 @@ class Explorer {
 
   using Genome = std::vector<std::size_t>;  // app index -> ecu index
 
-  /// FNV-1a over genes with a final avalanche; also picks the cache shard.
+  /// FNV-1a over whole genes (one multiply per gene, not per byte) with a
+  /// final avalanche; also picks the cache shard.
   struct GenomeHash {
     std::size_t operator()(const Genome& genome) const noexcept {
-      std::uint64_t h = 1469598103934665603ULL;
+      std::uint64_t h = obs::kFnvSeed;
       for (const std::size_t gene : genome) {
         h ^= static_cast<std::uint64_t>(gene);
-        h *= 1099511628211ULL;
+        h *= obs::kFnvPrime;
       }
       h ^= h >> 33;
       h *= 0xFF51AFD7ED558CCDULL;
