@@ -1,11 +1,13 @@
 #include "dse/exploration.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "concurrency/thread_pool.hpp"
@@ -18,26 +20,51 @@ Explorer::Explorer(const model::SystemModel& system_model,
     : model_(system_model), weights_(weights) {
   // The verifier's schedulability test goes through the (ECU, app set)
   // memo; the test is a pure function of its arguments and the hook
-  // receives apps in a deterministic (name-sorted) order, so cached
-  // verdicts are exact. The fast path and IncrementalState share the memo.
+  // receives apps in name order, the order hosted_apps() rebuilds from a
+  // memo key, so cached verdicts are exact. The fast path and
+  // IncrementalState share the memo.
   sched_test_ = make_verifier_hook();
   verifier_.set_schedulability_hook(
       [this](const model::EcuDef& ecu,
              const std::vector<const model::AppDef*>& apps, std::string* why) {
-        return memo_schedulable(ecu, apps, why, nullptr);
+        if (!cache_enabled_) return sched_test_(ecu, apps, why);
+        // The verifier only ever passes this model's ECUs and apps, so
+        // their addresses index model_.ecus() and model_.apps().
+        std::vector<std::uint64_t> key(key_words_, 0);
+        key[0] = static_cast<std::uint64_t>(&ecu - model_.ecus().data());
+        for (const model::AppDef* app : apps) {
+          const std::size_t rank =
+              name_rank_[static_cast<std::size_t>(app - model_.apps().data())];
+          key[1 + rank / 64] |= std::uint64_t{1} << (rank % 64);
+        }
+        return memo_schedulable(key.data(),
+                                hash_words(key.data(), key.size()), why);
       });
   for (const auto& app : model_.apps()) apps_.push_back(&app);
   for (const auto& ecu : model_.ecus()) ecus_.push_back(&ecu);
 
   // Name-sorted app order mirrors Assignment::apps_on, whose std::map
-  // iterates placements alphabetically; the incremental evaluator must sum
-  // per-ECU utilization in the same order to reproduce cost()'s arithmetic.
+  // iterates placements alphabetically; per-ECU utilization must be summed
+  // in the same order to reproduce cost()'s arithmetic.
   apps_by_name_.resize(apps_.size());
   std::iota(apps_by_name_.begin(), apps_by_name_.end(), std::size_t{0});
   std::sort(apps_by_name_.begin(), apps_by_name_.end(),
             [&](std::size_t a, std::size_t b) {
               return apps_[a]->name < apps_[b]->name;
             });
+  name_rank_.resize(apps_.size());
+  rank_memory_.resize(apps_.size());
+  rank_util_.resize(apps_.size() * ecus_.size());
+  for (std::size_t rank = 0; rank < apps_.size(); ++rank) {
+    const model::AppDef* app = apps_[apps_by_name_[rank]];
+    name_rank_[apps_by_name_[rank]] = rank;
+    rank_memory_[rank] = app->memory_bytes;
+    for (std::size_t e = 0; e < ecus_.size(); ++e) {
+      rank_util_[rank * ecus_.size() + e] = app->utilization_on(ecus_[e]->mips);
+    }
+  }
+  key_words_ = 1 + (apps_.size() + 63) / 64;
+  for (SchedShard& shard : sched_cache_) shard.keys = KeyIndex(key_words_);
 
   const auto index_of = [&](const model::AppDef* app) {
     for (std::size_t i = 0; i < apps_.size(); ++i) {
@@ -200,41 +227,46 @@ void Explorer::build_fast_model() {
   fast_ = std::move(fm);
 }
 
-bool Explorer::genome_hosted_on(std::size_t app, std::size_t gene,
-                                std::size_t ecu) const {
-  const std::size_t n = ecus_.size();
-  const std::size_t replicas = replicas_of(app);
-  if (replicas >= n) return true;  // host run wraps the whole farm
-  for (std::size_t r = 0; r < replicas; ++r) {
-    if ((gene + r) % n == ecu) return true;
+template <typename Fn>
+void Explorer::for_each_rank(const std::uint64_t* key, Fn&& fn) const {
+  for (std::size_t w = 1; w < key_words_; ++w) {
+    for (std::uint64_t bits = key[w]; bits != 0; bits &= bits - 1) {
+      fn((w - 1) * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
   }
-  return false;
 }
 
-Explorer::EcuLoad Explorer::gather_ecu(
-    const Genome& genome, std::size_t ecu,
-    std::vector<const model::AppDef*>& hosted) const {
+Explorer::EcuLoad Explorer::load_of(const std::uint64_t* key) const {
+  const std::size_t ecu = static_cast<std::size_t>(key[0]);
+  const std::size_t necus = ecus_.size();
   EcuLoad load;
-  hosted.clear();
-  for (const std::size_t a : apps_by_name_) {
-    if (!genome_hosted_on(a, genome[a], ecu)) continue;
-    hosted.push_back(apps_[a]);
-    load.memory += apps_[a]->memory_bytes;
-    load.utilization += apps_[a]->utilization_on(ecus_[ecu]->mips);
-  }
+  for_each_rank(key, [&](std::size_t rank) {
+    load.memory += rank_memory_[rank];
+    load.utilization += rank_util_[rank * necus + ecu];
+    ++load.apps;
+  });
   return load;
 }
 
-bool Explorer::ecu_feasible(std::size_t ecu,
-                            const std::vector<const model::AppDef*>& hosted,
-                            const EcuLoad& load, bool* memo_hit) const {
-  if (hosted.empty()) return true;
+Explorer::EcuLoad Explorer::gather_ecu(const Genome& genome, std::size_t ecu,
+                                       std::uint64_t* key) const {
+  std::fill(key, key + key_words_, std::uint64_t{0});
+  key[0] = ecu;
+  for (std::size_t rank = 0; rank < apps_by_name_.size(); ++rank) {
+    const std::size_t a = apps_by_name_[rank];
+    if (genome_hosted_on(a, genome[a], ecu)) {
+      key[1 + rank / 64] |= std::uint64_t{1} << (rank % 64);
+    }
+  }
+  return load_of(key);
+}
+
+bool Explorer::capacity_ok(std::size_t ecu, const EcuLoad& load) const {
   const model::EcuDef& def = *ecus_[ecu];
-  if (load.memory > def.memory_bytes) return false;       // memory.capacity
-  if (hosted.size() > 1 && !def.has_mmu) return false;    // mmu-required
+  if (load.memory > def.memory_bytes) return false;      // memory.capacity
+  if (load.apps > 1 && !def.has_mmu) return false;       // mmu-required
   const double capacity = std::max(1, def.cores);
-  if (load.utilization > capacity) return false;          // cpu.overload
-  return memo_schedulable(def, hosted, nullptr, memo_hit);
+  return load.utilization <= capacity;                   // cpu.overload
 }
 
 bool Explorer::app_admissible(std::size_t app, std::size_t gene) const {
@@ -276,11 +308,15 @@ bool Explorer::fast_feasible(const Genome& genome) const {
   }
 
   // (c) Per-ECU capacity + schedulability.
-  std::vector<const model::AppDef*> hosted;
-  hosted.reserve(apps_.size());
+  std::vector<std::uint64_t> key(key_words_);
   for (std::size_t e = 0; e < necus; ++e) {
-    const EcuLoad load = gather_ecu(genome, e, hosted);
-    if (!ecu_feasible(e, hosted, load, nullptr)) return false;
+    const EcuLoad load = gather_ecu(genome, e, key.data());
+    if (load.apps == 0) continue;
+    if (!capacity_ok(e, load) ||
+        !memo_schedulable(key.data(), hash_words(key.data(), key.size()),
+                          nullptr)) {
+      return false;
+    }
   }
 
   // Network pair verdicts + stream bandwidth budget.
@@ -311,14 +347,13 @@ double Explorer::genome_soft_cost(const Genome& genome) const {
   double max_util = 0.0;
   double min_util = std::numeric_limits<double>::infinity();
   std::size_t used = 0;
-  std::vector<const model::AppDef*> hosted;
-  hosted.reserve(apps_.size());
+  std::vector<std::uint64_t> key(key_words_);
   for (std::size_t e = 0; e < ecus_.size(); ++e) {
-    const double util = gather_ecu(genome, e, hosted).utilization;
-    if (!hosted.empty()) {
+    const EcuLoad load = gather_ecu(genome, e, key.data());
+    if (load.apps > 0) {
       ++used;
-      max_util = std::max(max_util, util);
-      min_util = std::min(min_util, util);
+      max_util = std::max(max_util, load.utilization);
+      min_util = std::min(min_util, load.utilization);
     }
   }
   total += weights_.per_ecu * static_cast<double>(used);
@@ -438,30 +473,87 @@ double Explorer::cached_genome_cost(
   return c;
 }
 
-bool Explorer::memo_schedulable(const model::EcuDef& ecu,
-                                const std::vector<const model::AppDef*>& apps,
-                                std::string* why, bool* memo_hit) const {
-  if (!cache_enabled_) return sched_test_(ecu, apps, why);
-  SchedKey key;
-  key.ecu = &ecu;
-  key.apps = apps;
-  SchedShard& shard = sched_cache_[SchedKeyHash{}(key) % kCacheShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      if (why != nullptr) *why = it->second.why;
-      return it->second.ok;
+std::size_t Explorer::KeyIndex::probe(const std::uint64_t* key,
+                                      std::uint32_t tag) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t slot = home(tag);; slot = (slot + 1) & mask) {
+    const Slot& s = slots_[slot];
+    if (s.entry == 0) return slot;
+    if (s.tag == tag &&
+        std::equal(key, key + words_, keys_.begin() + (s.entry - 1) * words_)) {
+      return slot;
     }
   }
-  if (memo_hit != nullptr) *memo_hit = false;
+}
+
+std::size_t Explorer::KeyIndex::find(const std::uint64_t* key,
+                                     std::uint64_t hash) const {
+  if (slots_.empty()) return kAbsent;
+  const std::uint32_t entry =
+      slots_[probe(key, static_cast<std::uint32_t>(hash >> 32))].entry;
+  return entry == 0 ? kAbsent : entry - 1;
+}
+
+void Explorer::KeyIndex::insert(const std::uint64_t* key,
+                                std::uint64_t hash) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const auto tag = static_cast<std::uint32_t>(hash >> 32);
+  keys_.insert(keys_.end(), key, key + words_);
+  slots_[probe(key, tag)] = Slot{tag, static_cast<std::uint32_t>(++size_)};
+}
+
+void Explorer::KeyIndex::grow() {
+  // 64 slots, then doubling; homes come from the tag, so at most 2^32 slots
+  // (2^31 entries, far beyond any model's ECU x app-set count).
+  const std::size_t capacity = slots_.empty() ? 64 : 2 * slots_.size();
+  std::vector<Slot> old(capacity);
+  old.swap(slots_);
+  shift_ = 32 - std::countr_zero(capacity);
+  const std::size_t mask = capacity - 1;
+  for (const Slot& s : old) {
+    if (s.entry == 0) continue;
+    std::size_t slot = home(s.tag);
+    while (slots_[slot].entry != 0) slot = (slot + 1) & mask;
+    slots_[slot] = s;
+  }
+}
+
+void Explorer::KeyIndex::clear() {
+  slots_.clear();
+  keys_.clear();
+  size_ = 0;
+}
+
+std::vector<const model::AppDef*> Explorer::hosted_apps(
+    const std::uint64_t* key) const {
+  std::vector<const model::AppDef*> apps;
+  for_each_rank(key, [&](std::size_t rank) {
+    apps.push_back(apps_[apps_by_name_[rank]]);
+  });
+  return apps;
+}
+
+bool Explorer::memo_schedulable(const std::uint64_t* key, std::uint64_t hash,
+                                std::string* why) const {
+  SchedShard& shard = sched_cache_[hash % kCacheShards];
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const std::size_t entry = shard.keys.find(key, hash);
+    if (entry != KeyIndex::kAbsent) {
+      if (why != nullptr) *why = shard.entries[entry].why;
+      return shard.entries[entry].ok;
+    }
+  }
   std::string reason;
-  const bool ok = sched_test_(ecu, apps, &reason);
+  const bool ok = sched_test_(*ecus_[static_cast<std::size_t>(key[0])],
+                              hosted_apps(key), &reason);
   if (why != nullptr) *why = reason;
   std::lock_guard<std::mutex> lock(shard.mutex);
-  SchedEntry& entry = shard.entries[std::move(key)];
-  entry.ok = ok;
-  entry.why = std::move(reason);
+  // A racing worker may have stored the same (pure) verdict meanwhile.
+  if (shard.keys.find(key, hash) == KeyIndex::kAbsent) {
+    shard.keys.insert(key, hash);
+    shard.entries.push_back(SchedEntry{ok, std::move(reason)});
+  }
   return ok;
 }
 
@@ -472,6 +564,7 @@ void Explorer::clear_cache() {
   }
   for (SchedShard& shard : sched_cache_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
+    shard.keys.clear();
     shard.entries.clear();
   }
 }
@@ -493,6 +586,7 @@ Explorer::IncrementalState::IncrementalState(const Explorer& explorer,
       verdicts_(verdicts),
       networks_(explorer.model_.networks().size()),
       genome_(std::move(genome)),
+      keys_(explorer.ecus_.size() * explorer.key_words_, 0),
       util_(explorer.ecus_.size(), 0.0),
       app_count_(explorer.ecus_.size(), 0),
       ecu_ok_(explorer.ecus_.size(), 1),
@@ -500,9 +594,11 @@ Explorer::IncrementalState::IncrementalState(const Explorer& explorer,
       cross_pairs_(explorer.interface_info_.size(), 0),
       ifc_fatal_(explorer.interface_info_.size(), 0),
       ifc_load_(explorer.interface_info_.size() * networks_, 0),
-      touched_(explorer.ecus_.size(), 0) {
-  hosted_.reserve(explorer.apps_.size());
-  for (std::size_t e = 0; e < util_.size(); ++e) recompute_ecu(e);
+      seen_(explorer.key_words_) {
+  for (std::size_t e = 0; e < util_.size(); ++e) {
+    explorer_.gather_ecu(genome_, e, keys_.data() + e * explorer_.key_words_);
+    recompute_ecu(e);
+  }
   for (std::size_t i = 0; i < cross_pairs_.size(); ++i) {
     recompute_interface(i);
   }
@@ -513,28 +609,43 @@ Explorer::IncrementalState::IncrementalState(const Explorer& explorer,
   }
 }
 
-bool Explorer::IncrementalState::move(std::size_t app, std::size_t gene) {
-  // O(touched ECUs x apps + touched interfaces x replica pairs) instead of
-  // a full re-score.
-  const std::size_t n = touched_.size();
+void Explorer::IncrementalState::mark_run(std::size_t app, std::size_t gene,
+                                          bool hosted) {
+  const std::size_t n = util_.size();
+  const std::size_t rank = explorer_.name_rank_[app];
+  const std::size_t word = 1 + rank / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (rank % 64);
   const std::size_t replicas = std::min(explorer_.replicas_of(app), n);
   for (std::size_t r = 0; r < replicas; ++r) {
-    touched_[(genome_[app] + r) % n] = 1;
-    touched_[(gene + r) % n] = 1;
+    std::uint64_t& bits = keys_[((gene + r) % n) * explorer_.key_words_ + word];
+    bits = hosted ? (bits | bit) : (bits & ~bit);
   }
+}
+
+bool Explorer::IncrementalState::move(std::size_t app, std::size_t gene) {
+  // O(touched ECUs x hosted apps + touched interfaces x replica pairs)
+  // instead of a full re-score.
+  const std::size_t n = util_.size();
+  const std::size_t old_gene = genome_[app];
+  mark_run(app, old_gene, false);
+  mark_run(app, gene, true);
   genome_[app] = gene;
-  bool memo_only = true;
-  for (std::size_t e = 0; e < n; ++e) {
-    if (touched_[e] != 0) {
-      memo_only = recompute_ecu(e) && memo_only;
-      touched_[e] = 0;
+  bool seen = true;
+  const std::size_t replicas = std::min(explorer_.replicas_of(app), n);
+  for (std::size_t r = 0; r < replicas; ++r) {
+    seen = recompute_ecu((old_gene + r) % n) && seen;
+  }
+  for (std::size_t r = 0; r < replicas; ++r) {
+    const std::size_t e = (gene + r) % n;
+    if (!explorer_.genome_hosted_on(app, old_gene, e)) {
+      seen = recompute_ecu(e) && seen;
     }
   }
   if (verdicts_) app_ok_[app] = explorer_.app_admissible(app, gene) ? 1 : 0;
   for (const std::size_t i : explorer_.app_interfaces_[app]) {
     recompute_interface(i);
   }
-  return memo_only;
+  return seen;
 }
 
 double Explorer::IncrementalState::total() const {
@@ -580,15 +691,26 @@ bool Explorer::IncrementalState::feasible() const {
 }
 
 bool Explorer::IncrementalState::recompute_ecu(std::size_t ecu) {
-  const EcuLoad load = explorer_.gather_ecu(genome_, ecu, hosted_);
+  const std::uint64_t* key = keys_.data() + ecu * explorer_.key_words_;
+  const EcuLoad load = explorer_.load_of(key);
   util_[ecu] = load.utilization;
-  app_count_[ecu] = hosted_.size();
-  bool memo_hit = true;
-  if (verdicts_) {
-    ecu_ok_[ecu] =
-        explorer_.ecu_feasible(ecu, hosted_, load, &memo_hit) ? 1 : 0;
+  app_count_[ecu] = load.apps;
+  if (!verdicts_) return true;
+  if (load.apps == 0 || !explorer_.capacity_ok(ecu, load)) {
+    ecu_ok_[ecu] = load.apps == 0 ? 1 : 0;
+    return true;  // no schedulability test needed
   }
-  return memo_hit;
+  const std::uint64_t hash = hash_words(key, explorer_.key_words_);
+  const std::size_t entry = seen_.find(key, hash);
+  if (entry != KeyIndex::kAbsent) {
+    ecu_ok_[ecu] = seen_ok_[entry];
+    return true;
+  }
+  const bool ok = explorer_.memo_schedulable(key, hash, nullptr);
+  seen_.insert(key, hash);
+  seen_ok_.push_back(ok ? 1 : 0);
+  ecu_ok_[ecu] = ok ? 1 : 0;
+  return false;
 }
 
 void Explorer::IncrementalState::recompute_interface(std::size_t index) {
@@ -871,6 +993,42 @@ ExplorationResult Explorer::simulated_annealing(std::uint64_t iterations,
   return result;
 }
 
+void Explorer::batch_fitness(const std::vector<Genome>& batch,
+                             std::vector<double>& fitness,
+                             concurrency::ThreadPool* executor,
+                             std::uint64_t& hits) const {
+  if (!cache_enabled_) {  // the always-reverify baseline
+    concurrency::parallel_for(executor, 0, batch.size(), 1,
+                              [&](std::size_t i) {
+                                fitness[i] = genome_cost(batch[i]);
+                              });
+    return;
+  }
+  // Serial dedupe first: the distinct genomes of one batch never race for
+  // a cache entry, so each one's hit depends only on earlier batches.
+  std::unordered_map<Genome, std::size_t, GenomeHash> first_of;
+  std::vector<std::size_t> first(batch.size());
+  std::vector<std::size_t> distinct;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto [it, inserted] = first_of.try_emplace(batch[i], i);
+    first[i] = it->second;
+    if (inserted) distinct.push_back(i);
+  }
+  std::atomic<std::uint64_t> cache_hits{0};
+  concurrency::parallel_for(
+      executor, 0, distinct.size(), 1, [&](std::size_t k) {
+        const std::size_t i = distinct[k];
+        fitness[i] = cached_genome_cost(batch[i], &cache_hits);
+      });
+  hits += cache_hits.load();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (first[i] != i) {
+      fitness[i] = fitness[first[i]];
+      ++hits;
+    }
+  }
+}
+
 ExplorationResult Explorer::genetic(std::size_t population,
                                     std::size_t generations,
                                     std::uint64_t seed,
@@ -883,7 +1041,6 @@ ExplorationResult Explorer::genetic(std::size_t population,
   std::optional<concurrency::ThreadPool> pool;
   if (threads > 0) pool.emplace(threads);
   concurrency::ThreadPool* executor = pool ? &*pool : nullptr;
-  std::atomic<std::uint64_t> hits{0};
 
   sim::Random rng(seed);
   std::vector<Genome> current(population, Genome(apps_.size(), 0));
@@ -894,9 +1051,7 @@ ExplorationResult Explorer::genetic(std::size_t population,
   }
   std::vector<double> fitness(population);
   result.candidates_evaluated += population;
-  concurrency::parallel_for(executor, 0, population, 1, [&](std::size_t i) {
-    fitness[i] = cached_genome_cost(current[i], &hits);
-  });
+  batch_fitness(current, fitness, executor, result.cache_hits);
 
   Genome best = current[0];
   double best_cost = fitness[0];
@@ -934,10 +1089,7 @@ ExplorationResult Explorer::genetic(std::size_t population,
     }
     std::vector<double> child_fitness(children.size());
     result.candidates_evaluated += children.size();
-    concurrency::parallel_for(
-        executor, 0, children.size(), 1, [&](std::size_t i) {
-          child_fitness[i] = cached_genome_cost(children[i], &hits);
-        });
+    batch_fitness(children, child_fitness, executor, result.cache_hits);
 
     // Elitism: the champion as of the start of this generation leads the
     // next pool; the champion update scans children in index order.
@@ -958,7 +1110,6 @@ ExplorationResult Explorer::genetic(std::size_t population,
     current = std::move(next);
     fitness = std::move(next_fitness);
   }
-  result.cache_hits = hits.load();
   result.assignment = decode(best);
   result.cost = best_cost;
   result.feasible = best_cost < weights_.infeasible_penalty;

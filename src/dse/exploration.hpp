@@ -20,11 +20,13 @@
 //  * A genome-keyed memoization cache (sharded, per-shard mutex) remembers
 //    the cost of whole genomes for genetic fitness and the annealing
 //    chain-winner re-score. Below it, an (ECU, hosted app set) memo keeps
-//    schedulability verdicts, which recur far more often than genomes.
+//    schedulability verdicts, which recur far more often than genomes. Its
+//    key is the ECU index followed by a bitset over apps in name order, so
+//    a lookup hashes and compares a few words and a hit never allocates.
 //  * Annealing's single-gene moves go through IncrementalState, which
-//    recomputes only the per-ECU, per-app and per-interface soft-cost terms
-//    and feasibility verdicts the moved app touches; annealing never looks
-//    up or fills the genome cache.
+//    keeps each ECU's hosted bitset and recomputes only the per-ECU,
+//    per-app and per-interface soft-cost terms and feasibility verdicts the
+//    moved app touches; annealing never looks up or fills the genome cache.
 #pragma once
 
 #include <algorithm>
@@ -43,6 +45,10 @@
 #include "obs/metrics.hpp"
 #include "sim/random.hpp"
 
+namespace dynaplat::concurrency {
+class ThreadPool;
+}
+
 namespace dynaplat::dse {
 
 struct ExplorationResult {
@@ -51,9 +57,11 @@ struct ExplorationResult {
   double cost = 0.0;
   std::uint64_t candidates_evaluated = 0;
   /// Candidates judged without running the verifier afresh; always <=
-  /// candidates_evaluated. Exhaustive and genetic: genomes whose cost came
-  /// from the genome cache. Annealing: identity moves, plus moves whose
-  /// touched-ECU verdicts all came from the (ECU, app set) memo.
+  /// candidates_evaluated, and like every other field independent of the
+  /// thread count. Exhaustive and genetic: genomes whose cost came from the
+  /// genome cache or from an equal genome earlier in the same generation.
+  /// Annealing: identity moves, plus moves whose touched-ECU verdicts the
+  /// chain had all looked up before.
   std::uint64_t cache_hits = 0;
   std::string strategy;
 };
@@ -124,19 +132,24 @@ class Explorer {
 
   using Genome = std::vector<std::size_t>;  // app index -> ecu index
 
-  /// FNV-1a over whole genes (one multiply per gene, not per byte) with a
+  /// FNV-1a over whole words (one multiply per word, not per byte) with a
   /// final avalanche; also picks the cache shard.
+  template <typename Word>
+  static std::uint64_t hash_words(const Word* words, std::size_t count) {
+    std::uint64_t h = obs::kFnvSeed;
+    for (std::size_t i = 0; i < count; ++i) {
+      h ^= static_cast<std::uint64_t>(words[i]);
+      h *= obs::kFnvPrime;
+    }
+    h ^= h >> 33;
+    h *= 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 33;
+    return h;
+  }
   struct GenomeHash {
     std::size_t operator()(const Genome& genome) const noexcept {
-      std::uint64_t h = obs::kFnvSeed;
-      for (const std::size_t gene : genome) {
-        h ^= static_cast<std::uint64_t>(gene);
-        h *= obs::kFnvPrime;
-      }
-      h ^= h >> 33;
-      h *= 0xFF51AFD7ED558CCDULL;
-      h ^= h >> 33;
-      return static_cast<std::size_t>(h);
+      return static_cast<std::size_t>(
+          hash_words(genome.data(), genome.size()));
     }
   };
 
@@ -145,35 +158,55 @@ class Explorer {
     std::unordered_map<Genome, double, GenomeHash> costs;
   };
 
+  /// Open-addressing index from fixed-width word keys to dense entry
+  /// numbers. Keys sit in one flat array and are compared in place, so a
+  /// lookup never allocates.
+  class KeyIndex {
+   public:
+    static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+    explicit KeyIndex(std::size_t words = 0) : words_(words) {}
+    /// Entry number of `key` (whose hash_words() is `hash`), or kAbsent.
+    std::size_t find(const std::uint64_t* key, std::uint64_t hash) const;
+    /// Adds `key`, which must be absent, as the next entry: entries are
+    /// numbered 0, 1, ... in insertion order, so callers keep values in a
+    /// vector beside the index.
+    void insert(const std::uint64_t* key, std::uint64_t hash);
+    void clear();
+
+   private:
+    /// The hash's top 32 bits sit in the slot, so a probe past another key
+    /// touches no key words, and grow() re-homes slots from them alone.
+    struct Slot {
+      std::uint32_t tag = 0;    ///< hash >> 32
+      std::uint32_t entry = 0;  ///< entry number + 1; 0 = empty
+    };
+    std::size_t home(std::uint32_t tag) const { return tag >> shift_; }
+    /// Linear probing from the home slot to `key`'s slot or the first
+    /// empty one.
+    std::size_t probe(const std::uint64_t* key, std::uint32_t tag) const;
+    void grow();
+
+    std::size_t words_;
+    std::size_t size_ = 0;
+    int shift_ = 0;  ///< 32 - log2(slots), set by grow()
+    std::vector<Slot> slots_;          ///< load factor <= 1/2
+    std::vector<std::uint64_t> keys_;  ///< [entry * words_ + w]
+  };
+
   /// Second memoization level below the genome cache: the verifier's
   /// schedulability hook is a pure function of (ECU, hosted app set), and
   /// across candidates the same per-ECU app subsets recur far more often
-  /// than whole genomes — so even a cache-miss genome usually verifies all
-  /// its ECUs from this cache instead of re-running RTA/TT synthesis.
-  struct SchedKey {
-    const model::EcuDef* ecu = nullptr;
-    std::vector<const model::AppDef*> apps;  ///< in hook call order
-    bool operator==(const SchedKey& other) const {
-      return ecu == other.ecu && apps == other.apps;
-    }
-  };
-  struct SchedKeyHash {
-    std::size_t operator()(const SchedKey& key) const noexcept {
-      std::uint64_t h = reinterpret_cast<std::uintptr_t>(key.ecu);
-      for (const auto* app : key.apps) {
-        h ^= reinterpret_cast<std::uintptr_t>(app) + 0x9E3779B97F4A7C15ULL +
-             (h << 6) + (h >> 2);
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
+  /// than whole genomes, so even a cache-miss genome usually verifies all
+  /// its ECUs from this cache instead of re-running RTA/TT synthesis. Keys
+  /// are memo keys (see key_words_).
   struct SchedEntry {
     bool ok = false;
     std::string why;
   };
   struct SchedShard {
     std::mutex mutex;
-    std::unordered_map<SchedKey, SchedEntry, SchedKeyHash> entries;
+    KeyIndex keys;
+    std::vector<SchedEntry> entries;  ///< by KeyIndex entry number
   };
 
   /// Interface topology resolved once at construction so per-candidate
@@ -212,8 +245,9 @@ class Explorer {
   static constexpr std::size_t kCacheShards = 16;
 
   /// Annealing's incremental evaluator: holds one genome with its soft-cost
-  /// terms and feasibility verdicts per ECU, per app and per interface. A
-  /// single-gene move recomputes only the parts it touches, each from
+  /// terms and feasibility verdicts per ECU, per app and per interface, and
+  /// each ECU's memo key (its hosted bitset). A single-gene move flips the
+  /// moved app's bits and recomputes only the parts it touches, each from
   /// scratch (never as a +/- delta), so the state is a pure function of the
   /// current genome however many moves were applied or reverted. total()
   /// is bit-equal to genome_soft_cost() and feasible() verdict-equal to
@@ -226,8 +260,10 @@ class Explorer {
 
     const Genome& genome() const { return genome_; }
     /// Re-hosts `app` on the ECU run starting at `gene`. Returns true iff
-    /// no touched ECU ran its schedulability test afresh (every verdict
-    /// came from the (ECU, app set) memo or needed none).
+    /// every touched ECU's schedulability verdict is one this state had
+    /// already looked up (or none was needed). The answer depends only on
+    /// the sequence of moves, never on what other threads put in the
+    /// shared memo.
     bool move(std::size_t app, std::size_t gene);
     /// Soft cost of the current genome (no infeasibility penalty).
     double total() const;
@@ -235,6 +271,8 @@ class Explorer {
     bool feasible() const;
 
    private:
+    /// Sets or clears app's bit in the keys of its run starting at `gene`.
+    void mark_run(std::size_t app, std::size_t gene, bool hosted);
     bool recompute_ecu(std::size_t ecu);
     void recompute_interface(std::size_t index);
 
@@ -242,6 +280,7 @@ class Explorer {
     const bool verdicts_;
     const std::size_t networks_;
     Genome genome_;
+    std::vector<std::uint64_t> keys_;       ///< [ecu * key_words_ + w]
     std::vector<double> util_;              ///< per ECU
     std::vector<std::size_t> app_count_;    ///< per ECU
     std::vector<char> ecu_ok_;              ///< per ECU
@@ -249,14 +288,18 @@ class Explorer {
     std::vector<std::size_t> cross_pairs_;  ///< per interface
     std::vector<char> ifc_fatal_;           ///< per interface
     std::vector<std::uint64_t> ifc_load_;   ///< [ifc * networks_ + net]
-    std::vector<char> touched_;             ///< scratch ECU marks for move()
-    std::vector<const model::AppDef*> hosted_;  ///< scratch for recompute
+    /// Front memo: the schedulability verdicts this state has looked up.
+    /// It answers repeats without the shared memo's lock and defines which
+    /// moves move() reports as memo-served.
+    KeyIndex seen_;
+    std::vector<char> seen_ok_;  ///< by seen_ entry number
   };
 
   /// Per-ECU sums over the apps one ECU hosts.
   struct EcuLoad {
     double utilization = 0.0;
     std::size_t memory = 0;
+    std::size_t apps = 0;
   };
 
   model::Assignment decode(const Genome& genome) const;
@@ -271,18 +314,24 @@ class Explorer {
   }
   /// True iff app's replica run starting at `gene` covers `ecu`.
   bool genome_hosted_on(std::size_t app, std::size_t gene,
-                        std::size_t ecu) const;
-  /// Fills `hosted` with the apps `genome` puts on `ecu`, in name order
-  /// (as Assignment::apps_on yields them), and sums their load in that
-  /// order, so the floating-point sum is bit-equal to the verifier's.
+                        std::size_t ecu) const {
+    const std::size_t n = ecus_.size();
+    const std::size_t offset = ecu >= gene ? ecu - gene : ecu + n - gene;
+    return offset < replicas_of(app);
+  }
+  /// Calls fn(rank) for each app in memo key `key`, from low bit to high:
+  /// name order, as Assignment::apps_on yields them.
+  template <typename Fn>
+  void for_each_rank(const std::uint64_t* key, Fn&& fn) const;
+  /// Sums the load of the apps in memo key `key` in for_each_rank() order,
+  /// so the floating-point sum is bit-equal to the verifier's.
+  EcuLoad load_of(const std::uint64_t* key) const;
+  /// Writes the memo key of the apps `genome` puts on `ecu` into `key`
+  /// (key_words_ words) and returns their load_of().
   EcuLoad gather_ecu(const Genome& genome, std::size_t ecu,
-                     std::vector<const model::AppDef*>& hosted) const;
-  /// Memory, MMU, cpu.overload and schedulability verdict of one ECU for
-  /// the apps gather_ecu() found on it. `memo_hit` (may be null) is
-  /// cleared when the schedulability test ran afresh.
-  bool ecu_feasible(std::size_t ecu,
-                    const std::vector<const model::AppDef*>& hosted,
-                    const EcuLoad& load, bool* memo_hit) const;
+                     std::uint64_t* key) const;
+  /// Memory, MMU and cpu.overload verdict of a non-empty ECU.
+  bool capacity_ok(std::size_t ecu, const EcuLoad& load) const;
   /// asil.ecu-certification and cpu.rtos-required over app's host run.
   bool app_admissible(std::size_t app, std::size_t gene) const;
   /// Calls fn(provider_ecu, consumer_ecu) for every cross-ECU host pair of
@@ -307,11 +356,23 @@ class Explorer {
   double cached_genome_cost(const Genome& genome,
                             std::atomic<std::uint64_t>* hits) const;
 
-  /// The (ECU, app set) memo around sched_test_ (bypassed when the cache is
-  /// off). `memo_hit` (may be null) is cleared on a miss.
-  bool memo_schedulable(const model::EcuDef& ecu,
-                        const std::vector<const model::AppDef*>& apps,
-                        std::string* why, bool* memo_hit) const;
+  /// The apps in memo key `key`, in name order.
+  std::vector<const model::AppDef*> hosted_apps(
+      const std::uint64_t* key) const;
+  /// sched_test_ on memo key `key` (whose hash_words() is `hash`) through
+  /// the (ECU, app set) memo. Only the cache-on paths call it; with the
+  /// cache off the verifier's hook calls sched_test_ directly.
+  bool memo_schedulable(const std::uint64_t* key, std::uint64_t hash,
+                        std::string* why) const;
+
+  /// Fills `fitness` for every genome of `batch` (fanned out over
+  /// `executor`) and adds the genome-cache hits to `hits`. Duplicates in
+  /// the batch copy their first occurrence's fitness and count as hits, so
+  /// no two workers race on one genome's cache entry.
+  void batch_fitness(const std::vector<Genome>& batch,
+                     std::vector<double>& fitness,
+                     concurrency::ThreadPool* executor,
+                     std::uint64_t& hits) const;
 
   /// Greedy first-fit decreasing as a genome, counting each trial
   /// placement into `candidates`; publishes nothing.
@@ -335,7 +396,15 @@ class Explorer {
 
   FastModel fast_;
   std::vector<InterfaceInfo> interface_info_;
-  std::vector<std::size_t> apps_by_name_;  ///< app indices, name-sorted
+  std::vector<std::size_t> apps_by_name_;  ///< name rank -> app index
+  std::vector<std::size_t> name_rank_;     ///< app index -> name rank
+  /// Per name rank: memory, and utilization_on() each ECU, so per-ECU sums
+  /// read tables instead of dividing per task.
+  std::vector<std::size_t> rank_memory_;
+  std::vector<double> rank_util_;  ///< [rank * |ecus| + ecu]
+  /// Memo key width: word 0 is the ECU index, then a bitset over name ranks
+  /// (bit r of word 1 + r / 64 set iff the app of rank r is hosted).
+  std::size_t key_words_ = 1;
   /// app index -> indices into interface_info_ the app provides or consumes.
   std::vector<std::vector<std::size_t>> app_interfaces_;
 

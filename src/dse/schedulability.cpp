@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 namespace dynaplat::dse {
 
@@ -202,25 +203,29 @@ model::Verifier::SchedulabilityHook make_verifier_hook() {
     // exact single-core test per core (the same placement policy the
     // PlatformNode uses at install time).
     const auto cores = static_cast<std::size_t>(std::max(1, ecu.cores));
-    std::vector<const model::AppDef*> order = apps;
+    // Each app's utilization once, in input order: std::sort sees the same
+    // comparison results as when the comparator recomputed them, so equal
+    // utilizations keep the same (unstable) tie order.
+    std::vector<std::pair<double, const model::AppDef*>> order;
+    order.reserve(apps.size());
+    for (const model::AppDef* app : apps) {
+      order.emplace_back(app->utilization_on(ecu.mips), app);
+    }
     std::sort(order.begin(), order.end(),
-              [&](const model::AppDef* a, const model::AppDef* b) {
-                return a->utilization_on(ecu.mips) >
-                       b->utilization_on(ecu.mips);
-              });
+              [](const auto& a, const auto& b) { return a.first > b.first; });
     std::vector<std::vector<AnalysisTask>> per_core(cores);
-    for (const model::AppDef* app : order) {
+    for (const auto& [utilization, app] : order) {
       const auto app_tasks = tasks_on(*app, ecu.mips);
       bool placed = false;
       for (auto& core_tasks : per_core) {
-        std::vector<AnalysisTask> candidate = core_tasks;
-        candidate.insert(candidate.end(), app_tasks.begin(),
-                         app_tasks.end());
-        if (schedulable(candidate, nullptr)) {
-          core_tasks = std::move(candidate);
+        const std::size_t fitted = core_tasks.size();
+        core_tasks.insert(core_tasks.end(), app_tasks.begin(),
+                          app_tasks.end());
+        if (schedulable(core_tasks, nullptr)) {
           placed = true;
           break;
         }
+        core_tasks.resize(fitted);
       }
       if (!placed) {
         if (why != nullptr) {

@@ -4,16 +4,20 @@
 // without the memoization cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "concurrency/thread_pool.hpp"
 #include "dse/exploration.hpp"
+#include "dse/schedulability.hpp"
 #include "model/parser.hpp"
 #include "sim/random.hpp"
 
@@ -198,13 +202,24 @@ model::ParsedSystem dse_system(int n_apps, int n_ecus) {
   return model::parse_system(dsl);
 }
 
+void expect_same_outcome(const dse::ExplorationResult& a,
+                         const dse::ExplorationResult& b) {
+  EXPECT_EQ(a.cost, b.cost);  // bit-for-bit, no tolerance
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.assignment.placement, b.assignment.placement);
+  EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated);
+}
+
+/// Same outcome and the same hit count: nothing depends on threads.
 void expect_identical(const dse::ExplorationResult& serial,
                       const dse::ExplorationResult& parallel) {
-  EXPECT_EQ(serial.cost, parallel.cost);  // bit-for-bit, no tolerance
-  EXPECT_EQ(serial.feasible, parallel.feasible);
-  EXPECT_EQ(serial.assignment.placement, parallel.assignment.placement);
-  EXPECT_EQ(serial.candidates_evaluated, parallel.candidates_evaluated);
+  expect_same_outcome(serial, parallel);
+  EXPECT_EQ(serial.cache_hits, parallel.cache_hits);
 }
+
+// Threaded arms run this many times, each on a fresh explorer, so a count
+// that follows thread timing gets several chances to show it.
+constexpr int kThreadedRepeats = 8;
 
 TEST(DseDeterminism, ExhaustiveParallelMatchesSerial) {
   auto sys = dse_system(6, 3);
@@ -215,11 +230,22 @@ TEST(DseDeterminism, ExhaustiveParallelMatchesSerial) {
 }
 
 TEST(DseDeterminism, GeneticParallelMatchesSerial) {
-  auto sys = dse_system(8, 4);
-  dse::Explorer serial_explorer(sys.model);
-  dse::Explorer parallel_explorer(sys.model);
-  expect_identical(serial_explorer.genetic(16, 25, 7, 0),
-                   parallel_explorer.genetic(16, 25, 7, 4));
+  // In the small space a large population breeds many duplicate children
+  // per generation, which parallel workers would race for.
+  for (const auto [apps, ecus, population] :
+       {std::array<int, 3>{8, 4, 16}, std::array<int, 3>{6, 3, 64}}) {
+    SCOPED_TRACE(apps);
+    auto sys = dse_system(apps, ecus);
+    dse::Explorer serial_explorer(sys.model);
+    const auto serial = serial_explorer.genetic(population, 25, 7, 0);
+    EXPECT_GT(serial.cache_hits, 0u);
+    for (int run = 0; run < kThreadedRepeats; ++run) {
+      SCOPED_TRACE(run);
+      dse::Explorer parallel_explorer(sys.model);
+      expect_identical(serial,
+                       parallel_explorer.genetic(population, 25, 7, 4));
+    }
+  }
 }
 
 TEST(DseDeterminism, GeneticCacheDoesNotChangeResults) {
@@ -237,11 +263,22 @@ TEST(DseDeterminism, GeneticCacheDoesNotChangeResults) {
 }
 
 TEST(DseDeterminism, AnnealingChainsMatchAcrossThreadCounts) {
-  auto sys = dse_system(8, 4);
-  dse::Explorer serial_explorer(sys.model);
-  dse::Explorer parallel_explorer(sys.model);
-  expect_identical(serial_explorer.simulated_annealing(1'500, 13, 4, 0),
-                   parallel_explorer.simulated_annealing(1'500, 13, 4, 4));
+  // The larger system gives concurrent chains more (ECU, app set) verdicts
+  // to race for.
+  for (const auto [apps, ecus, chains] :
+       {std::array<int, 3>{8, 4, 4}, std::array<int, 3>{16, 6, 8}}) {
+    SCOPED_TRACE(apps);
+    auto sys = dse_system(apps, ecus);
+    dse::Explorer serial_explorer(sys.model);
+    const auto serial =
+        serial_explorer.simulated_annealing(1'500, 13, chains, 0);
+    for (int run = 0; run < kThreadedRepeats; ++run) {
+      SCOPED_TRACE(run);
+      dse::Explorer parallel_explorer(sys.model);
+      expect_identical(
+          serial, parallel_explorer.simulated_annealing(1'500, 13, chains, 4));
+    }
+  }
 }
 
 TEST(DseDeterminism, AnnealingCacheDoesNotChangeResults) {
@@ -253,7 +290,7 @@ TEST(DseDeterminism, AnnealingCacheDoesNotChangeResults) {
   uncached.set_cache_enabled(false);
   const auto with_cache = cached.simulated_annealing(1'500, 13, 4, 4);
   const auto without_cache = uncached.simulated_annealing(1'500, 13, 4, 0);
-  expect_identical(with_cache, without_cache);
+  expect_same_outcome(with_cache, without_cache);
   EXPECT_LE(with_cache.cache_hits, with_cache.candidates_evaluated);
   EXPECT_GT(with_cache.cache_hits, without_cache.cache_hits);
 }
@@ -457,6 +494,132 @@ TEST(DseFastPath, IncrementalVerdictTracksVerifier) {
     EXPECT_GT(ok, 0);
     EXPECT_GT(bad, 0);
   }
+}
+
+// More than 64 apps, so memo keys and hosted sets span several words: 70
+// light apps (ranks 0-69) plus two replicated 0.55-utilization hogs and a
+// triple-replicated app whose name ranks put them in the second word. Two
+// hog runs sharing a single-core ECU overload it; on the dual-core ECU they
+// pass, so the verdict flips as the walk moves them. The light apps'
+// utilizations differ, so a per-ECU sum in any order but name order
+// rounds differently and fails the bit-equal cost check.
+TEST(DseFastPath, IncrementalVerdictTracksVerifierPastOneWord) {
+  std::string dsl = "network Net kind=ethernet bitrate=1G\n";
+  for (int e = 0; e < 5; ++e) {
+    dsl += "ecu E" + std::to_string(e) +
+           " mips=1000 memory=256M asil=D network=Net\n";
+  }
+  dsl += "ecu Dual mips=1000 cores=2 memory=256M asil=D network=Net\n";
+  dsl += "interface Link paradigm=event payload=64 period=10ms\n";
+  dsl += "interface Tail paradigm=event payload=64 period=10ms\n";
+  for (int a = 0; a < 70; ++a) {
+    dsl += std::string("app A") + (a < 10 ? "0" : "") + std::to_string(a) +
+           (a % 2 == 0 ? " class=deterministic" : "") + " asil=B memory=1M\n";
+    dsl += "  task t period=10ms wcet=" + std::to_string(60 + a * 37 % 90) +
+           "K priority=" + std::to_string(a % 8) + "\n";
+    if (a == 69) dsl += "  provides Tail\n";
+  }
+  dsl +=
+      "app Hog0 class=deterministic asil=B memory=4M replicas=2\n"
+      "  task t period=10ms wcet=5500K\n"
+      "  provides Link\n"
+      "app Hog1 class=deterministic asil=B memory=4M replicas=2\n"
+      "  task t period=10ms wcet=5500K\n"
+      "  consumes Link\n"
+      "app Zed asil=B memory=1M replicas=3\n"
+      "  task t period=20ms wcet=200K\n"
+      "  consumes Tail\n";
+  const auto parsed = model::parse_system(dsl);
+  ASSERT_EQ(parsed.model.apps().size(), 73u);
+  const auto [ok, bad] = walk_incremental(parsed.model, 1'000, 17);
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(bad, 0);
+}
+
+// The first-fit hook as it was before it stopped copying: utilization
+// recomputed inside the sort comparator, and a copy of the core's task list
+// for every trial placement. The reference for the differential test below.
+bool copying_first_fit(const model::EcuDef& ecu,
+                       const std::vector<const model::AppDef*>& apps,
+                       std::string* why) {
+  const auto cores = static_cast<std::size_t>(std::max(1, ecu.cores));
+  std::vector<const model::AppDef*> order = apps;
+  std::sort(order.begin(), order.end(),
+            [&](const model::AppDef* a, const model::AppDef* b) {
+              return a->utilization_on(ecu.mips) >
+                     b->utilization_on(ecu.mips);
+            });
+  std::vector<std::vector<dse::AnalysisTask>> per_core(cores);
+  for (const model::AppDef* app : order) {
+    const auto app_tasks = dse::tasks_on(*app, ecu.mips);
+    bool placed = false;
+    for (auto& core_tasks : per_core) {
+      std::vector<dse::AnalysisTask> candidate = core_tasks;
+      candidate.insert(candidate.end(), app_tasks.begin(), app_tasks.end());
+      if (dse::schedulable(candidate, nullptr)) {
+        core_tasks = std::move(candidate);
+        placed = true;
+        break;
+      }
+    }
+    if (!placed) {
+      if (why != nullptr) {
+        *why = "app '" + app->name + "' fits no core of " + ecu.name;
+      }
+      return false;
+    }
+  }
+  return true;
+}
+
+// Random multi-core ECUs and app sets, up to 24 apps so std::sort leaves
+// its insertion-sort range. Task sizes come from a short list, so many apps
+// tie on utilization and the sort's tie order decides the first fit.
+TEST(DseFastPath, VerifierHookMatchesCopyingFirstFit) {
+  const auto hook = dse::make_verifier_hook();
+  sim::Random rng(23);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(trial);
+    model::EcuDef ecu;
+    ecu.name = "E" + std::to_string(trial);
+    ecu.cores = 1 + static_cast<int>(rng.next_below(4));
+    ecu.mips = 500u << rng.next_below(3);
+    std::vector<model::AppDef> defs(1 + rng.next_below(24));
+    for (std::size_t a = 0; a < defs.size(); ++a) {
+      model::AppDef& app = defs[a];
+      app.name = "A" + std::to_string(a);
+      app.app_class = rng.chance(0.5) ? model::AppClass::kDeterministic
+                                      : model::AppClass::kNonDeterministic;
+      for (std::uint64_t t = 0, n = 1 + rng.next_below(2); t < n; ++t) {
+        model::TaskDef task;
+        task.name = "t" + std::to_string(t);
+        task.period = sim::kMillisecond * (5 << rng.next_below(3));
+        task.deadline = rng.chance(0.25) ? task.period / 2 : 0;
+        task.instructions = 250'000u << rng.next_below(4);
+        task.priority = static_cast<int>(rng.next_below(16));
+        app.tasks.push_back(task);
+      }
+    }
+    std::vector<const model::AppDef*> apps;
+    for (const auto& app : defs) apps.push_back(&app);
+    for (std::size_t i = apps.size(); i > 1; --i) {
+      std::swap(apps[i - 1], apps[rng.next_below(i)]);
+    }
+    std::string expected_why;
+    std::string why;
+    const bool expected = copying_first_fit(ecu, apps, &expected_why);
+    ASSERT_EQ(hook(ecu, apps, &why), expected);
+    ASSERT_EQ(why, expected_why);
+    if (expected) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(DseFastPath, MatchesVerifierOnNetworkRules) {
