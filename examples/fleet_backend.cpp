@@ -22,6 +22,7 @@
 //
 // Usage: fleet_backend
 #include <cstdio>
+#include <memory>
 
 #include "backend/client.hpp"
 #include "backend/fleet.hpp"
@@ -73,7 +74,7 @@ void breaker_walkthrough() {
   const auto request = [&client](backend::Criticality criticality) {
     backend::SynthesisRequest req;
     req.criticality = criticality;
-    req.tasks = demo_tasks();
+    req.tasks = std::make_shared<const backend::TaskSet>(demo_tasks());
     return req;
   };
   const auto report = [&simulator](const char* what) {

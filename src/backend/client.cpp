@@ -1,6 +1,7 @@
 #include "backend/client.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "obs/fnv.hpp"
 
@@ -152,7 +153,8 @@ void BackendClient::revalidate_stale() {
 
 // --- Artifact cache ---------------------------------------------------------
 
-void BackendClient::cache_store(const std::vector<dse::AnalysisTask>& tasks,
+void BackendClient::cache_store(const TaskSet& tasks,
+                                const TaskSetHandle& handle,
                                 std::uint64_t ecu_mips,
                                 const dse::ScheduleServer::Artifact& artifact) {
   if (config_.artifact_cache_capacity == 0) return;
@@ -172,7 +174,8 @@ void BackendClient::cache_store(const std::vector<dse::AnalysisTask>& tasks,
   }
   CacheEntry entry;
   entry.artifact = artifact;
-  entry.tasks = tasks;
+  entry.tasks = handle != nullptr ? handle
+                                  : std::make_shared<const TaskSet>(tasks);
   entry.ecu_mips = ecu_mips;
   entry.order = next_order_++;
   cache_.emplace(key, std::move(entry));
@@ -230,7 +233,8 @@ BackendOutcome BackendClient::from_response(const SynthesisRequest& request,
   outcome.ok = response.status == ResponseStatus::kOk &&
                response.artifact.feasible;
   if (outcome.ok) {
-    cache_store(request.tasks, request.ecu_mips, response.artifact);
+    cache_store(task_set(request.tasks), request.tasks, request.ecu_mips,
+                response.artifact);
   }
   return outcome;
 }
@@ -249,7 +253,7 @@ BackendOutcome BackendClient::synthesize(
       outcome.ok = outcome.artifact.feasible;
       outcome.status = outcome.ok ? ResponseStatus::kOk
                                   : ResponseStatus::kInfeasible;
-      if (outcome.ok) cache_store(tasks, ecu_mips, outcome.artifact);
+      if (outcome.ok) cache_store(tasks, nullptr, ecu_mips, outcome.artifact);
       return outcome;
     }
     return fallback(tasks, ecu_mips);
@@ -258,7 +262,7 @@ BackendOutcome BackendClient::synthesize(
   ++attempts_;
   SynthesisRequest request;
   request.criticality = criticality;
-  request.tasks = tasks;
+  request.tasks = std::make_shared<const TaskSet>(tasks);
   request.ecu_mips = ecu_mips;
   const SynthesisResponse response = service_->query(request);
   switch (response.status) {
@@ -315,7 +319,8 @@ void BackendClient::start_attempt(std::uint64_t id) {
   pending.resubmit = {};
   if (service_ == nullptr || !allow_request()) {
     // Fast-fail: breaker OPEN (or never connected). No wire traffic.
-    finish(id, fallback(pending.request.tasks, pending.request.ecu_mips));
+    finish(id, fallback(task_set(pending.request.tasks),
+                        pending.request.ecu_mips));
     return;
   }
   ++attempts_;
@@ -376,7 +381,8 @@ void BackendClient::retry_or_fail(std::uint64_t id,
       state_ == BreakerState::kOpen) {
     // Exhausted (or the breaker just slammed shut): degrade now rather
     // than stack more timeouts — the caller's cadence retries later.
-    finish(id, fallback(pending.request.tasks, pending.request.ecu_mips));
+    finish(id, fallback(task_set(pending.request.tasks),
+                        pending.request.ecu_mips));
     return;
   }
   const sim::Duration delay = std::max(next_backoff(pending), floor_delay);

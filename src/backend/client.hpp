@@ -146,7 +146,7 @@ class BackendClient {
  private:
   struct CacheEntry {
     dse::ScheduleServer::Artifact artifact;
-    std::vector<dse::AnalysisTask> tasks;  ///< kept for re-validation
+    TaskSetHandle tasks;  ///< the stored request's handle, for re-validation
     std::uint64_t ecu_mips = 0;
     bool stale_used = false;
     std::uint64_t order = 0;  ///< insertion order, drop-oldest
@@ -182,7 +182,9 @@ class BackendClient {
                                const SynthesisResponse& response);
   BackendOutcome fallback(const std::vector<dse::AnalysisTask>& tasks,
                           std::uint64_t ecu_mips);
-  void cache_store(const std::vector<dse::AnalysisTask>& tasks,
+  /// `handle` is the request's handle on `tasks` when there is one; a new
+  /// entry without one copies `tasks`, an updated entry copies nothing.
+  void cache_store(const TaskSet& tasks, const TaskSetHandle& handle,
                    std::uint64_t ecu_mips,
                    const dse::ScheduleServer::Artifact& artifact);
 

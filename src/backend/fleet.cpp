@@ -1,6 +1,7 @@
 #include "backend/fleet.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "obs/fnv.hpp"
 #include "sim/random.hpp"
@@ -33,14 +34,13 @@ std::size_t latency_bucket(sim::Duration latency) {
 
 }  // namespace
 
-std::vector<dse::AnalysisTask> FleetDriver::make_tasks(std::uint64_t seed,
-                                                       std::size_t topology) {
+TaskSet FleetDriver::make_tasks(std::uint64_t seed, std::size_t topology) {
   sim::Random rng = sim::Random::stream(seed, kTopologyStream + topology);
   const int count = static_cast<int>(rng.uniform_int(3, 7));
   static const sim::Duration kPeriods[] = {
       10 * sim::kMillisecond, 20 * sim::kMillisecond, 50 * sim::kMillisecond,
       100 * sim::kMillisecond};
-  std::vector<dse::AnalysisTask> tasks;
+  TaskSet tasks;
   tasks.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     dse::AnalysisTask task;
@@ -99,11 +99,11 @@ void FleetDriver::build_classes() {
   classes_.reserve(config_.topology_classes);
   for (std::size_t c = 0; c < config_.topology_classes; ++c) {
     TopologyClass cls;
-    cls.tasks = make_tasks(config_.seed, c);
+    cls.tasks = std::make_shared<const TaskSet>(make_tasks(config_.seed, c));
     // Two ECU speed grades, aligned with the topology class so cache keys
     // stay shared within a class.
     cls.ecu_mips = (c % 2 == 0) ? 1'000 : 2'000;
-    cls.key = topology_key(cls.tasks, cls.ecu_mips);
+    cls.key = topology_key(*cls.tasks, cls.ecu_mips);
     classes_.push_back(std::move(cls));
   }
 }
@@ -135,12 +135,12 @@ void FleetDriver::reset_sessions() {
     // fragmenting the backend memo cache.
     TopologyClass cls;
     const TopologyClass& base = classes_[class_of_[i]];
-    cls.tasks = base.tasks;
-    cls.ecu_mips = base.ecu_mips;
-    dse::AnalysisTask& mutated = cls.tasks[i % cls.tasks.size()];
-    mutated.wcet +=
+    TaskSet tasks = *base.tasks;
+    tasks[i % tasks.size()].wcet +=
         static_cast<sim::Duration>(1 + i % 7) * sim::kMicrosecond;
-    cls.key = topology_key(cls.tasks, cls.ecu_mips);
+    cls.tasks = std::make_shared<const TaskSet>(std::move(tasks));
+    cls.ecu_mips = base.ecu_mips;
+    cls.key = topology_key(*cls.tasks, cls.ecu_mips);
     class_of_[i] = static_cast<std::uint32_t>(classes_.size());
     classes_.push_back(std::move(cls));
   }
@@ -463,6 +463,13 @@ sim::Duration FleetDriver::next_backoff(Pending& pending) {
   return std::max<sim::Duration>(jittered, sim::kMicrosecond);
 }
 
+bool FleetDriver::local_admits(TopologyClass& cls) {
+  if (!cls.local_admitted.has_value()) {
+    cls.local_admitted = admission_.admit({}, *cls.tasks).admitted;
+  }
+  return *cls.local_admitted;
+}
+
 void FleetDriver::finish_with_fallback(std::uint64_t id) {
   Pending* pending = lookup(id);
   if (pending == nullptr) return;
@@ -476,8 +483,7 @@ void FleetDriver::finish_with_fallback(std::uint64_t id) {
     ++stale_served_;
     outcome.source = BackendOutcome::Source::kCache;
     outcome.ok = true;
-  } else if (config_.client.local_fallback &&
-             admission_.admit({}, cls.tasks).admitted) {
+  } else if (config_.client.local_fallback && local_admits(cls)) {
     // Rung 2: ECU-local admission — safe to keep running, no fresh table.
     ++local_admissions_;
     outcome.source = BackendOutcome::Source::kLocalFallback;

@@ -49,6 +49,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "backend/client.hpp"
@@ -195,9 +196,14 @@ class FleetDriver {
   static constexpr std::uint8_t kBreakerStateMask = 0x03;
 
   struct TopologyClass {
-    std::vector<dse::AnalysisTask> tasks;
+    /// Every request of the class carries this one handle: no per-request
+    /// task copies, and the service's cache check is a pointer compare.
+    TaskSetHandle tasks;
     std::uint64_t ecu_mips = 1'000;
     std::uint64_t key = 0;  ///< precomputed topology_key (request key_hint)
+    /// ECU-local admission verdict on `tasks` (fallback rung 2), computed
+    /// on first use: it is a pure function of the task set.
+    std::optional<bool> local_admitted;
     /// Vehicle-local artifact cache, compressed: the artifact bytes are
     /// identical for every vehicle of the class, so they are stored once
     /// here; per-session kFlagHasArtifact says whether *this* vehicle
@@ -229,8 +235,7 @@ class FleetDriver {
     bool ok = false;
   };
 
-  static std::vector<dse::AnalysisTask> make_tasks(std::uint64_t seed,
-                                                   std::size_t topology);
+  static TaskSet make_tasks(std::uint64_t seed, std::size_t topology);
   void build_classes();
   void reset_sessions();
   /// Frees every in-flight request and cancels every event still queued.
@@ -263,6 +268,7 @@ class FleetDriver {
   void on_timeout(std::uint64_t id);
   void retry_or_fail(std::uint64_t id, sim::Duration floor_delay);
   sim::Duration next_backoff(Pending& pending);
+  bool local_admits(TopologyClass& cls);
   void finish_with_fallback(std::uint64_t id);
   void finish(std::uint64_t id, const Outcome& outcome);
 

@@ -12,27 +12,6 @@ using obs::fnv1a;
 using obs::fnv1a_u64;
 using obs::kFnvSeed;
 
-/// Secondary topology hash from an independent basis. A primary-key match
-/// whose signature disagrees is a detected collision: the cached artifact
-/// belongs to a different task set.
-std::uint64_t topology_sig(const std::vector<dse::AnalysisTask>& tasks,
-                           std::uint64_t ecu_mips) {
-  std::uint64_t hash = kFnvSeed ^ 0x5DEECE66Dull;
-  const std::uint64_t count = tasks.size();
-  hash = fnv1a(hash, &count, sizeof(count));
-  hash = fnv1a(hash, &ecu_mips, sizeof(ecu_mips));
-  for (const dse::AnalysisTask& task : tasks) {
-    hash = fnv1a(hash, &task.wcet, sizeof(task.wcet));
-    hash = fnv1a(hash, &task.period, sizeof(task.period));
-    hash = fnv1a(hash, task.name.data(), task.name.size());
-    hash = fnv1a(hash, &task.deadline, sizeof(task.deadline));
-    hash = fnv1a(hash, &task.priority, sizeof(task.priority));
-    const std::uint8_t det = task.deterministic ? 1 : 0;
-    hash = fnv1a(hash, &det, sizeof(det));
-  }
-  return hash;
-}
-
 }  // namespace
 
 const char* to_string(Criticality criticality) {
@@ -53,6 +32,11 @@ const char* to_string(ResponseStatus status) {
     case ResponseStatus::kUnreachable: return "unreachable";
   }
   return "?";
+}
+
+const TaskSet& task_set(const TaskSetHandle& tasks) {
+  static const TaskSet kEmpty;
+  return tasks ? *tasks : kEmpty;
 }
 
 std::uint64_t topology_key(const std::vector<dse::AnalysisTask>& tasks,
@@ -158,7 +142,7 @@ bool FleetScheduleService::preempt_routine() {
   SynthesisResponse shed;
   shed.status = ResponseStatus::kShed;
   shed.retry_after = retry_hint();
-  respond(victim_id, std::move(shed));
+  respond(victim_id, shed);
   return true;
 }
 
@@ -199,20 +183,24 @@ bool FleetScheduleService::admit(Criticality criticality,
 std::uint64_t FleetScheduleService::request_key(
     const SynthesisRequest& request) const {
   if (config_.key_fn != nullptr) {
-    return config_.key_fn(request.tasks, request.ecu_mips);
+    return config_.key_fn(task_set(request.tasks), request.ecu_mips);
   }
   if (request.key_hint != 0) return request.key_hint;
-  return topology_key(request.tasks, request.ecu_mips);
+  return topology_key(task_set(request.tasks), request.ecu_mips);
 }
 
 dse::ScheduleServer::Artifact FleetScheduleService::resolve(
     std::uint64_t key, const SynthesisRequest& request, bool* cache_hit) {
-  const std::uint64_t sig = topology_sig(request.tasks, request.ecu_mips);
   CacheShard& shard = cache_[key % cache_.size()];
   auto it = shard.entries.find(key);
   bool collided = false;
   if (it != shard.entries.end()) {
-    if (it->second.sig == sig) {
+    const CacheEntry& entry = it->second;
+    // Every fleet hit is the pointer compare: a topology class hands each
+    // of its requests the one handle its entry was stored from.
+    if (entry.ecu_mips == request.ecu_mips &&
+        (entry.tasks == request.tasks ||
+         task_set(entry.tasks) == task_set(request.tasks))) {
       *cache_hit = true;
       ++cache_hits_;
       if (cache_hit_counter_ != nullptr) cache_hit_counter_->add();
@@ -228,11 +216,11 @@ dse::ScheduleServer::Artifact FleetScheduleService::resolve(
   ++synthesis_runs_;
   if (cache_miss_counter_ != nullptr) cache_miss_counter_->add();
   dse::ScheduleServer::Artifact artifact =
-      server_.synthesize(request.tasks, request.ecu_mips);
+      server_.synthesize(task_set(request.tasks), request.ecu_mips);
   if (collided) {
     // Last-writer-wins on a contested key; the key stays at its original
     // position in the eviction order.
-    it->second = CacheEntry{artifact, sig};
+    it->second = CacheEntry{artifact, request.tasks, request.ecu_mips};
     return artifact;
   }
   const std::size_t per_shard =
@@ -242,7 +230,8 @@ dse::ScheduleServer::Artifact FleetScheduleService::resolve(
     shard.order.pop_front();
     ++cache_evictions_;
   }
-  shard.entries.emplace(key, CacheEntry{artifact, sig});
+  shard.entries.emplace(key,
+                        CacheEntry{artifact, request.tasks, request.ecu_mips});
   shard.order.push_back(key);
   return artifact;
 }
@@ -257,7 +246,8 @@ sim::Duration FleetScheduleService::service_time(
   return std::max(compute, config_.min_service_time);
 }
 
-void FleetScheduleService::submit(SynthesisRequest request, Callback done) {
+void FleetScheduleService::submit(const SynthesisRequest& request,
+                                  Callback done) {
   ++requests_total_;
   if (crashed_ || partitioned_) {
     // Lost on the wire: the vehicle's timeout is the only signal.
@@ -362,7 +352,7 @@ void FleetScheduleService::submit(SynthesisRequest request, Callback done) {
 }
 
 std::size_t FleetScheduleService::respond(std::uint64_t id,
-                                          SynthesisResponse response) {
+                                          const SynthesisResponse& response) {
   auto it = outstanding_.find(id);
   if (it == outstanding_.end()) return 0;
   Callback done = std::move(it->second.done);

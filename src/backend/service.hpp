@@ -37,6 +37,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,9 +68,20 @@ enum class ResponseStatus : std::uint8_t {
 
 const char* to_string(ResponseStatus status);
 
+using TaskSet = std::vector<dse::AnalysisTask>;
+/// Shared, immutable task set. A fleet topology class owns one handle and
+/// every request of the class carries a copy of the pointer, so a request
+/// costs the same whatever its task set weighs. Null is the empty set.
+using TaskSetHandle = std::shared_ptr<const TaskSet>;
+
+/// The task set behind `tasks`; a null handle reads as the empty set.
+const TaskSet& task_set(const TaskSetHandle& tasks);
+
 struct SynthesisRequest {
   Criticality criticality = Criticality::kResync;
-  std::vector<dse::AnalysisTask> tasks;
+  /// Null by default: an allocating default would cost every request
+  /// built per attempt an allocation.
+  TaskSetHandle tasks;
   std::uint64_t ecu_mips = 1'000;
   /// Vehicle session tag (metrics / tracing only, not part of the cache
   /// key — the whole point is cross-vehicle sharing).
@@ -155,7 +167,9 @@ class FleetScheduleService {
   /// simulator after queueing + service + uplink time. While the backend
   /// is crashed or the uplink partitioned the request is silently lost —
   /// the vehicle-side timeout is the only signal, as in the field.
-  void submit(SynthesisRequest request, Callback done);
+  /// `request` is read only during the call; a cache entry it stores keeps
+  /// a reference to the task-set handle.
+  void submit(const SynthesisRequest& request, Callback done);
 
   /// Synchronous control-plane query used by in-vehicle callers that
   /// cannot park their control flow on a sim event (node resync, recovery
@@ -227,8 +241,8 @@ class FleetScheduleService {
   const std::array<std::uint64_t, 16>& batch_size_histogram() const {
     return batch_hist_;
   }
-  /// topology_key collisions caught by the secondary signature check: the
-  /// cached artifact belonged to a *different* task set that hashed to the
+  /// Cache-key collisions caught by the exact check: the cached artifact
+  /// belonged to a *different* task set or ECU speed that hashed to the
   /// same key, so the hit was refused and synthesis re-ran.
   std::uint64_t cache_collisions() const { return cache_collisions_; }
   /// Memo-cache entries dropped by per-shard capacity (drop-oldest).
@@ -263,10 +277,12 @@ class FleetScheduleService {
   };
   struct CacheEntry {
     dse::ScheduleServer::Artifact artifact;
-    /// Secondary hash of the same topology fields from an independent
-    /// basis; a key match with a signature mismatch is a detected
-    /// collision, served as a miss instead of a wrong artifact.
-    std::uint64_t sig = 0;
+    /// What the artifact was synthesized for. A key match is a hit only
+    /// when the request names the same handle or an equal task set on the
+    /// same ECU speed; anything else is a detected collision, served as a
+    /// miss instead of a wrong artifact.
+    TaskSetHandle tasks;
+    std::uint64_t ecu_mips = 0;
   };
   struct CacheShard {
     std::map<std::uint64_t, CacheEntry> entries;
@@ -292,7 +308,8 @@ class FleetScheduleService {
   sim::Duration retry_hint() const;
   /// Delivers `response` to every cohort member and closes the entry.
   /// Returns the member count (0 when the id is stale).
-  std::size_t respond(std::uint64_t id, SynthesisResponse response);
+  /// `response` must outlive the fan-out; callbacks may re-enter submit().
+  std::size_t respond(std::uint64_t id, const SynthesisResponse& response);
   /// Drops a closing entry without delivering (partition, crash paths).
   void close_entry(std::uint64_t id);
   void record_batch(std::size_t size);

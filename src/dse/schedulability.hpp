@@ -25,6 +25,8 @@ struct AnalysisTask {
   int priority = 16;
   bool deterministic = false;
 
+  bool operator==(const AnalysisTask&) const = default;
+
   double utilization() const {
     return period > 0 ? static_cast<double>(wcet) /
                             static_cast<double>(period)

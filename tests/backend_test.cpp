@@ -61,6 +61,27 @@ std::vector<dse::AnalysisTask> infeasible_set() {
           analysis_task("y", 10 * sim::kMillisecond, 6 * sim::kMillisecond, 2)};
 }
 
+/// A request's shared, immutable task-set handle.
+backend::TaskSetHandle share(std::vector<dse::AnalysisTask> tasks) {
+  return std::make_shared<const backend::TaskSet>(std::move(tasks));
+}
+
+/// Field-by-field artifact equality (the artifact has no operator==).
+void expect_same_artifact(const dse::ScheduleServer::Artifact& a,
+                          const dse::ScheduleServer::Artifact& b) {
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.validated, b.validated);
+  EXPECT_EQ(a.synthesis_instructions, b.synthesis_instructions);
+  EXPECT_EQ(a.reason, b.reason);
+  EXPECT_EQ(a.table.cycle, b.table.cycle);
+  ASSERT_EQ(a.table.windows.size(), b.table.windows.size());
+  for (std::size_t i = 0; i < a.table.windows.size(); ++i) {
+    EXPECT_EQ(a.table.windows[i].offset, b.table.windows[i].offset);
+    EXPECT_EQ(a.table.windows[i].length, b.table.windows[i].length);
+    EXPECT_EQ(a.table.windows[i].task, b.table.windows[i].task);
+  }
+}
+
 // --- FleetScheduleService -----------------------------------------------------
 
 TEST(FleetBackend, SubmitDeliversFeasibleArtifactAfterSimLatency) {
@@ -68,7 +89,7 @@ TEST(FleetBackend, SubmitDeliversFeasibleArtifactAfterSimLatency) {
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
   request.criticality = Criticality::kResync;
-  request.tasks = feasible_set();
+  request.tasks = share(feasible_set());
   SynthesisResponse seen;
   sim::Time delivered_at = 0;
   service.submit(request, [&](const SynthesisResponse& response) {
@@ -91,7 +112,7 @@ TEST(FleetBackend, CrossVehicleCacheSharesOneSynthesis) {
   sim::Simulator simulator;
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
-  request.tasks = feasible_set();
+  request.tasks = share(feasible_set());
   int ok = 0;
   int hits = 0;
   for (std::uint32_t session = 0; session < 5; ++session) {
@@ -121,7 +142,7 @@ TEST(FleetBackend, SaturatedQueueShedsRoutineAndPreemptsForRecovery) {
   std::vector<ResponseStatus> ota_status(3, ResponseStatus::kUnreachable);
   SynthesisRequest ota;
   ota.criticality = Criticality::kOta;
-  ota.tasks = feasible_set();
+  ota.tasks = share(feasible_set());
   for (int i = 0; i < 3; ++i) {
     service.submit(ota, [&ota_status, i](const SynthesisResponse& response) {
       ota_status[static_cast<std::size_t>(i)] = response.status;
@@ -129,7 +150,7 @@ TEST(FleetBackend, SaturatedQueueShedsRoutineAndPreemptsForRecovery) {
   }
   SynthesisRequest recovery;
   recovery.criticality = Criticality::kRecovery;
-  recovery.tasks = feasible_set();
+  recovery.tasks = share(feasible_set());
   ResponseStatus recovery_status = ResponseStatus::kUnreachable;
   service.submit(recovery, [&](const SynthesisResponse& response) {
     recovery_status = response.status;
@@ -166,7 +187,7 @@ TEST(FleetBackend, RejectTrafficCarriesNoAdmissionWeight) {
   // A recovery occupies the single real queue slot (not preemptible).
   SynthesisRequest recovery;
   recovery.criticality = Criticality::kRecovery;
-  recovery.tasks = feasible_set();
+  recovery.tasks = share(feasible_set());
   ResponseStatus first_status = ResponseStatus::kUnreachable;
   service.submit(recovery, [&](const SynthesisResponse& response) {
     first_status = response.status;
@@ -176,7 +197,7 @@ TEST(FleetBackend, RejectTrafficCarriesNoAdmissionWeight) {
   // is now in flight on the downlink for 10 ms.
   SynthesisRequest ota;
   ota.criticality = Criticality::kOta;
-  ota.tasks = feasible_set();
+  ota.tasks = share(feasible_set());
   for (int i = 0; i < 8; ++i) {
     service.submit(ota, [](const SynthesisResponse&) {});
   }
@@ -208,7 +229,7 @@ TEST(FleetBackend, BackpressureDefersRoutineWithGrowingHint) {
 
   SynthesisRequest ota;
   ota.criticality = Criticality::kOta;
-  ota.tasks = feasible_set();
+  ota.tasks = share(feasible_set());
   std::vector<SynthesisResponse> rejected;
   for (int i = 0; i < 2; ++i) {
     service.submit(ota, [](const SynthesisResponse&) {});
@@ -241,7 +262,7 @@ TEST(FleetBackend, CrashLosesOutstandingAndPartitionDropsResponses) {
   sim::Simulator simulator;
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
-  request.tasks = feasible_set();
+  request.tasks = share(feasible_set());
 
   int callbacks = 0;
   service.submit(request, [&](const SynthesisResponse&) { ++callbacks; });
@@ -277,7 +298,7 @@ TEST(ScheduleServerErrors, InfeasibleUnderConcurrentCallers) {
   sim::Simulator simulator;
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
-  request.tasks = infeasible_set();
+  request.tasks = share(infeasible_set());
   int infeasible = 0;
   std::set<std::string> reasons;
   for (std::uint32_t session = 0; session < 8; ++session) {
@@ -300,7 +321,7 @@ TEST(ScheduleServerErrors, CacheHitMatchesFreshRecompute) {
   sim::Simulator simulator;
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
-  request.tasks = feasible_set();
+  request.tasks = share(feasible_set());
   const SynthesisResponse first = service.query(request);
   const SynthesisResponse second = service.query(request);
   ASSERT_EQ(first.status, ResponseStatus::kOk);
@@ -309,7 +330,7 @@ TEST(ScheduleServerErrors, CacheHitMatchesFreshRecompute) {
   EXPECT_TRUE(second.cache_hit);
 
   const dse::ScheduleServer reference;
-  const auto fresh = reference.synthesize(request.tasks, request.ecu_mips);
+  const auto fresh = reference.synthesize(*request.tasks, request.ecu_mips);
   for (const auto* artifact : {&first.artifact, &second.artifact}) {
     EXPECT_EQ(artifact->feasible, fresh.feasible);
     EXPECT_EQ(artifact->validated, fresh.validated);
@@ -503,7 +524,7 @@ TEST(CircuitBreaker, AsyncRetriesAreCappedJitteredAndDeterministic) {
     BackendClient client(simulator, config);
     client.connect(&service);
     SynthesisRequest request;
-    request.tasks = feasible_set();
+    request.tasks = share(feasible_set());
     int finished = 0;
     sim::Time finished_at = 0;
     BackendOutcome last;
@@ -788,7 +809,7 @@ TEST(FleetBatching, CohortSharesOneDequeueAndResponse) {
   FleetScheduleService service(simulator, config);
   SynthesisRequest request;
   request.criticality = Criticality::kResync;
-  request.tasks = feasible_set();
+  request.tasks = share(feasible_set());
   int ok = 0;
   for (std::uint32_t session = 0; session < 8; ++session) {
     request.session = session;
@@ -819,7 +840,7 @@ TEST(FleetBatching, AdmissionChargesCohortsNotMembers) {
   FleetScheduleService service(simulator, config);
   SynthesisRequest request;
   request.criticality = Criticality::kResync;
-  request.tasks = feasible_set();
+  request.tasks = share(feasible_set());
   int ok = 0;
   // Six identical requests ride one queue slot...
   for (std::uint32_t session = 0; session < 6; ++session) {
@@ -832,7 +853,7 @@ TEST(FleetBatching, AdmissionChargesCohortsNotMembers) {
   // ...while a distinct topology needs a second slot and is shed.
   SynthesisRequest other;
   other.criticality = Criticality::kResync;
-  other.tasks = infeasible_set();
+  other.tasks = share(infeasible_set());
   ResponseStatus other_status = ResponseStatus::kOk;
   service.submit(other, [&](const SynthesisResponse& response) {
     other_status = response.status;
@@ -858,20 +879,20 @@ TEST(FleetBatching, RecoveryJoinerShieldsCohortFromPreemption) {
   // preemption scan must no longer see it as a routine victim.
   SynthesisRequest leader;
   leader.criticality = Criticality::kOta;
-  leader.tasks = feasible_set();
+  leader.tasks = share(feasible_set());
   int cohort_ok = 0;
   service.submit(leader, [&](const SynthesisResponse& response) {
     if (response.status == ResponseStatus::kOk) ++cohort_ok;
   });
   SynthesisRequest joiner;
   joiner.criticality = Criticality::kRecovery;
-  joiner.tasks = feasible_set();
+  joiner.tasks = share(feasible_set());
   service.submit(joiner, [&](const SynthesisResponse& response) {
     if (response.status == ResponseStatus::kOk) ++cohort_ok;
   });
   SynthesisRequest rival;
   rival.criticality = Criticality::kRecovery;
-  rival.tasks = infeasible_set();
+  rival.tasks = share(infeasible_set());
   ResponseStatus rival_status = ResponseStatus::kOk;
   service.submit(rival, [&](const SynthesisResponse& response) {
     rival_status = response.status;
@@ -890,7 +911,7 @@ TEST(FleetBatching, CrashLosesEveryCohortMember) {
   FleetScheduleService service(simulator, config);
   SynthesisRequest request;
   request.criticality = Criticality::kResync;
-  request.tasks = feasible_set();
+  request.tasks = share(feasible_set());
   int delivered = 0;
   for (std::uint32_t session = 0; session < 4; ++session) {
     request.session = session;
@@ -904,21 +925,76 @@ TEST(FleetBatching, CrashLosesEveryCohortMember) {
   EXPECT_EQ(service.lost_unreachable(), 4u);
 }
 
+TEST(FleetBatching, ResubmitDuringFanOutLeavesOtherMembersIntact) {
+  // respond() hands every cohort member the one response by reference. A
+  // member that re-enters submit() from its callback opens a new cohort on
+  // the same key; the members after it must still see the original
+  // response, and the re-submission must be served on its own.
+  sim::Simulator simulator;
+  ServiceConfig config;
+  config.batching = true;
+  FleetScheduleService service(simulator, config);
+  SynthesisRequest request;
+  request.criticality = Criticality::kResync;
+  request.tasks = share(feasible_set());
+  SynthesisRequest rival;
+  rival.criticality = Criticality::kResync;
+  rival.tasks = share(infeasible_set());
+
+  std::vector<SynthesisResponse> members;
+  std::vector<sim::Time> member_times;
+  std::vector<ResponseStatus> resubmitted;
+  for (int member = 0; member < 4; ++member) {
+    service.submit(request, [&, member](const SynthesisResponse& response) {
+      members.push_back(response);
+      member_times.push_back(simulator.now());
+      if (member != 1) return;
+      const auto record = [&](const SynthesisResponse& again) {
+        resubmitted.push_back(again.status);
+      };
+      service.submit(request, record);
+      service.submit(rival, record);
+    });
+  }
+  simulator.run_until(sim::seconds(2));
+
+  ASSERT_EQ(members.size(), 4u);
+  const dse::ScheduleServer::Artifact fresh =
+      dse::ScheduleServer{}.synthesize(*request.tasks, request.ecu_mips);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(members[i].status, ResponseStatus::kOk);
+    EXPECT_FALSE(members[i].cache_hit);
+    EXPECT_EQ(member_times[i], member_times[0]);
+    expect_same_artifact(members[i].artifact, fresh);
+  }
+  // The re-submissions ran as two new cohorts: a cache hit and a miss.
+  ASSERT_EQ(resubmitted.size(), 2u);
+  EXPECT_EQ(resubmitted[0], ResponseStatus::kOk);
+  EXPECT_EQ(resubmitted[1], ResponseStatus::kInfeasible);
+  EXPECT_EQ(service.completed(), 6u);
+  EXPECT_EQ(service.dequeues(), 3u);
+  EXPECT_EQ(service.coalesced(), 3u);
+  EXPECT_EQ(service.cache_hits(), 1u);
+  EXPECT_EQ(service.synthesis_runs(), 2u);
+  EXPECT_EQ(service.queue_depth(), 0u);
+}
+
 // --- Memo-cache collision + eviction (ISSUE 10 satellites) --------------------
 
 TEST(FleetCache, ForcedKeyCollisionResynthesizesInsteadOfWrongArtifact) {
   sim::Simulator simulator;
   ServiceConfig config;
-  // Force every topology onto one key: only the secondary signature can
-  // tell the cached artifact belongs to a different task set.
+  // Force every topology onto one key: only the exact check can tell the
+  // cached artifact belongs to a different task set.
   config.key_fn = [](const std::vector<dse::AnalysisTask>&, std::uint64_t) {
     return std::uint64_t{42};
   };
   FleetScheduleService service(simulator, config);
   SynthesisRequest first;
-  first.tasks = feasible_set();
+  first.tasks = share(feasible_set());
   SynthesisRequest second;
-  second.tasks = infeasible_set();
+  second.tasks = share(infeasible_set());
 
   EXPECT_EQ(service.query(first).status, ResponseStatus::kOk);
   EXPECT_EQ(service.cache_collisions(), 0u);
@@ -949,7 +1025,7 @@ TEST(FleetCache, EvictionUnderTopologyChurn) {
   };
   SynthesisRequest request;
   for (int salt = 0; salt < 4; ++salt) {
-    request.tasks = churn_set(salt);
+    request.tasks = share(churn_set(salt));
     EXPECT_EQ(service.query(request).status, ResponseStatus::kOk);
   }
   // Capacity 2, four distinct topologies: two drop-oldest evictions.
@@ -957,9 +1033,161 @@ TEST(FleetCache, EvictionUnderTopologyChurn) {
   EXPECT_EQ(service.cache_entries(), 2u);
   EXPECT_EQ(service.synthesis_runs(), 4u);
   // The evicted topology is a miss again.
-  request.tasks = churn_set(0);
+  request.tasks = share(churn_set(0));
   EXPECT_EQ(service.query(request).status, ResponseStatus::kOk);
   EXPECT_EQ(service.synthesis_runs(), 5u);
+}
+
+std::uint64_t degenerate_key(const std::vector<dse::AnalysisTask>&,
+                             std::uint64_t) {
+  return 42;
+}
+
+TEST(FleetCache, ExactCheckCatchesEveryFieldMutation) {
+  // Every topology shares one key, so a hit rests on the exact check
+  // alone. Each mutation changes one AnalysisTask field (or the task
+  // count, or the ECU speed on the very same handle) and must be caught as
+  // a collision and re-synthesized for the mutated topology.
+  using Mutation = void (*)(SynthesisRequest&, backend::TaskSet&);
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"name",
+       [](SynthesisRequest&, backend::TaskSet& t) { t[1].name += "'"; }},
+      {"period",
+       [](SynthesisRequest&, backend::TaskSet& t) {
+         t[1].period += sim::kMillisecond;
+       }},
+      {"deadline",
+       [](SynthesisRequest&, backend::TaskSet& t) {
+         t[1].deadline -= sim::kMillisecond;
+       }},
+      {"wcet",
+       [](SynthesisRequest&, backend::TaskSet& t) {
+         t[1].wcet += sim::kMicrosecond;
+       }},
+      {"priority",
+       [](SynthesisRequest&, backend::TaskSet& t) { t[1].priority += 10; }},
+      {"deterministic",
+       [](SynthesisRequest&, backend::TaskSet& t) {
+         t[1].deterministic = !t[1].deterministic;
+       }},
+      {"task_count",
+       [](SynthesisRequest&, backend::TaskSet& t) { t.pop_back(); }},
+      {"ecu_mips",
+       [](SynthesisRequest& r, backend::TaskSet&) { r.ecu_mips *= 2; }},
+  };
+  for (const auto& [field, mutate] : mutations) {
+    SCOPED_TRACE(field);
+    sim::Simulator simulator;
+    ServiceConfig config;
+    config.key_fn = degenerate_key;
+    FleetScheduleService service(simulator, config);
+    SynthesisRequest base;
+    base.tasks = share(feasible_set());
+    ASSERT_EQ(service.query(base).status, ResponseStatus::kOk);
+
+    SynthesisRequest mutated = base;
+    backend::TaskSet tasks = *base.tasks;
+    mutate(mutated, tasks);
+    // The ECU-speed mutation keeps the base handle: a pointer match alone
+    // must not make a hit.
+    if (tasks != *base.tasks) mutated.tasks = share(tasks);
+    const SynthesisResponse response = service.query(mutated);
+    EXPECT_FALSE(response.cache_hit);
+    EXPECT_EQ(service.cache_collisions(), 1u);
+    EXPECT_EQ(service.cache_hits(), 0u);
+    EXPECT_EQ(service.synthesis_runs(), 2u);
+    expect_same_artifact(response.artifact,
+                         dse::ScheduleServer{}.synthesize(*mutated.tasks,
+                                                          mutated.ecu_mips));
+    // The base topology now collides with the overwritten entry in turn.
+    EXPECT_FALSE(service.query(base).cache_hit);
+    EXPECT_EQ(service.cache_collisions(), 2u);
+    EXPECT_EQ(service.cache_entries(), 1u);
+  }
+}
+
+TEST(FleetCache, EqualContentsOnDistinctHandlesShareOneEntry) {
+  sim::Simulator simulator;
+  ServiceConfig config;
+  config.key_fn = degenerate_key;
+  FleetScheduleService service(simulator, config);
+  SynthesisRequest first;
+  first.tasks = share(feasible_set());
+  SynthesisRequest second;
+  second.tasks = share(feasible_set());
+  ASSERT_NE(first.tasks, second.tasks);
+
+  const SynthesisResponse miss = service.query(first);
+  const SynthesisResponse hit = service.query(second);
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(service.synthesis_runs(), 1u);
+  EXPECT_EQ(service.cache_hits(), 1u);
+  EXPECT_EQ(service.cache_collisions(), 0u);
+  EXPECT_EQ(service.cache_entries(), 1u);
+  expect_same_artifact(hit.artifact, miss.artifact);
+}
+
+TEST(FleetCache, NullHandleIsTheEmptyTaskSet) {
+  sim::Simulator simulator;
+  FleetScheduleService service(simulator);
+  SynthesisRequest null_request;
+  ASSERT_EQ(null_request.tasks, nullptr);
+  SynthesisRequest empty_request;
+  empty_request.tasks = share({});
+
+  const SynthesisResponse from_null = service.query(null_request);
+  const SynthesisResponse from_empty = service.query(empty_request);
+  EXPECT_EQ(from_null.status, from_empty.status);
+  EXPECT_TRUE(from_empty.cache_hit);
+  EXPECT_EQ(service.synthesis_runs(), 1u);
+  expect_same_artifact(from_null.artifact,
+                       dse::ScheduleServer{}.synthesize({}, 1'000));
+  // The async path reads a null handle the same way.
+  std::vector<ResponseStatus> delivered;
+  service.submit(null_request, [&](const SynthesisResponse& response) {
+    delivered.push_back(response.status);
+  });
+  simulator.run_until(sim::seconds(1));
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0], from_null.status);
+  EXPECT_EQ(service.cache_hits(), 2u);
+}
+
+TEST(FleetCache, HitOutlivesTheCallersDroppedHandle) {
+  // The caller lets go of its task set right after submit(). The entry
+  // stored from that handle keeps the task set alive, so a later request
+  // with equal contents on a fresh handle is checked against live memory
+  // (ASan would flag a dangling compare) and served the right artifact.
+  sim::Simulator simulator;
+  FleetScheduleService service(simulator);
+  std::weak_ptr<const backend::TaskSet> stored;
+  std::vector<SynthesisResponse> responses;
+  const auto record = [&](const SynthesisResponse& response) {
+    responses.push_back(response);
+  };
+  {
+    SynthesisRequest request;
+    request.tasks = share(feasible_set());
+    stored = request.tasks;
+    service.submit(request, record);
+  }
+  simulator.run_until(sim::seconds(1));
+  EXPECT_FALSE(stored.expired());
+
+  SynthesisRequest later;
+  later.tasks = share(feasible_set());
+  service.submit(later, record);
+  later.tasks.reset();
+  simulator.run_until(sim::seconds(2));
+
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(responses[0].cache_hit);
+  EXPECT_TRUE(responses[1].cache_hit);
+  EXPECT_EQ(responses[1].status, ResponseStatus::kOk);
+  expect_same_artifact(responses[1].artifact,
+                       dse::ScheduleServer{}.synthesize(feasible_set(), 1'000));
+  EXPECT_EQ(service.synthesis_runs(), 1u);
 }
 
 // --- Compressed fleet driver (ISSUE 10) ---------------------------------------

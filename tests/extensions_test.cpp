@@ -58,7 +58,8 @@ TEST(Router, FiltersNonMatchingFlows) {
   net::CanBus can(simulator, "can0", {});
   net::EthernetSwitch eth(simulator, "eth0", {});
   net::Router gateway(can, 10, eth, 10);
-  gateway.route_a_to_b({.flow_min = 100, .flow_max = 199, .destination = 1});
+  gateway.route_a_to_b({.flow_min = 100, .flow_max = 199, .destination = 1,
+                        .remap_priority = std::nullopt});
   eth.attach(1, [](const net::Frame&) {});
   can.attach(2, [](const net::Frame&) {});
   net::Frame frame;
@@ -76,7 +77,8 @@ TEST(Router, OversizeFramesAreDroppedNotFragmented) {
   net::EthernetSwitch eth(simulator, "eth0", {});
   net::CanBus can(simulator, "can0", {});
   net::Router gateway(eth, 10, can, 10);
-  gateway.route_a_to_b({.destination = net::kBroadcast});
+  gateway.route_a_to_b({.destination = net::kBroadcast,
+                        .remap_priority = std::nullopt});
   eth.attach(2, [](const net::Frame&) {});
   can.attach(3, [](const net::Frame&) {});
   net::Frame frame;
@@ -95,8 +97,9 @@ TEST(Router, BidirectionalRouting) {
   net::CanBus can(simulator, "can0", {});
   net::EthernetSwitch eth(simulator, "eth0", {});
   net::Router gateway(can, 10, eth, 10);
-  gateway.route_a_to_b({.destination = 1});
-  gateway.route_b_to_a({.destination = net::kBroadcast});
+  gateway.route_a_to_b({.destination = 1, .remap_priority = std::nullopt});
+  gateway.route_b_to_a({.destination = net::kBroadcast,
+                        .remap_priority = std::nullopt});
   int can_rx = 0, eth_rx = 0;
   can.attach(2, [&](const net::Frame&) { ++can_rx; });
   eth.attach(1, [&](const net::Frame&) { ++eth_rx; });
@@ -126,7 +129,7 @@ TEST(Router, WorkSubmitterDelaysForwarding) {
                         simulator.schedule_in(5 * sim::kMillisecond,
                                               std::move(work));
                       });
-  gateway.route_a_to_b({.destination = 1});
+  gateway.route_a_to_b({.destination = 1, .remap_priority = std::nullopt});
   sim::Time delivered = 0;
   eth.attach(1, [&](const net::Frame&) { delivered = simulator.now(); });
   can.attach(2, [](const net::Frame&) {});
@@ -315,7 +318,9 @@ TEST(Diagnostics, FlushOnReconnectPreservesFaultOrder) {
   ASSERT_EQ(uplink_times.size(), diagnostics.all_faults().size());
   for (std::size_t i = 0; i < uplink_times.size(); ++i) {
     EXPECT_EQ(uplink_times[i], diagnostics.all_faults()[i].at);
-    if (i > 0) EXPECT_GE(uplink_times[i], uplink_times[i - 1]);
+    if (i > 0) {
+      EXPECT_GE(uplink_times[i], uplink_times[i - 1]);
+    }
   }
 }
 

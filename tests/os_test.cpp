@@ -341,7 +341,7 @@ TEST(MemoryManager, DestroyReleasesQuota) {
 TEST(Ecu, SendStampsSourceNode) {
   sim::Simulator simulator;
   net::CanBus bus(simulator, "can0", {});
-  Ecu ecu(simulator, EcuConfig{.name = "ecu0"}, &bus, 3);
+  Ecu ecu(simulator, EcuConfig{.name = "ecu0", .cpu = {}}, &bus, 3);
   net::NodeId seen_src = 0;
   bus.attach(9, [&](const net::Frame& f) { seen_src = f.src; });
   net::Frame f;
@@ -354,8 +354,8 @@ TEST(Ecu, SendStampsSourceNode) {
 TEST(Ecu, FailedEcuNeitherSendsNorReceives) {
   sim::Simulator simulator;
   net::CanBus bus(simulator, "can0", {});
-  Ecu a(simulator, EcuConfig{.name = "a"}, &bus, 1);
-  Ecu b(simulator, EcuConfig{.name = "b"}, &bus, 2);
+  Ecu a(simulator, EcuConfig{.name = "a", .cpu = {}}, &bus, 1);
+  Ecu b(simulator, EcuConfig{.name = "b", .cpu = {}}, &bus, 2);
   int b_received = 0;
   b.set_receive_handler([&](const net::Frame&) { ++b_received; });
   b.fail();
@@ -376,7 +376,7 @@ TEST(Ecu, FailedEcuNeitherSendsNorReceives) {
 TEST(Ecu, RecoverRestoresOperation) {
   sim::Simulator simulator;
   net::CanBus bus(simulator, "can0", {});
-  Ecu ecu(simulator, EcuConfig{.name = "a"}, &bus, 1);
+  Ecu ecu(simulator, EcuConfig{.name = "a", .cpu = {}}, &bus, 1);
   int received = 0;
   ecu.set_receive_handler([&](const net::Frame&) { ++received; });
   ecu.fail();
@@ -393,7 +393,8 @@ TEST(Ecu, RecoverRestoresOperation) {
 TEST(Ecu, GeneralPurposeOsUsesFairScheduler) {
   sim::Simulator simulator;
   Ecu ecu(simulator,
-          EcuConfig{.name = "gp", .os = OsKind::kGeneralPurpose}, nullptr, 0);
+          EcuConfig{.name = "gp", .cpu = {}, .os = OsKind::kGeneralPurpose},
+          nullptr, 0);
   EXPECT_STREQ(ecu.processor().scheduler().policy_name(), "fair-rr");
 }
 
