@@ -1,11 +1,13 @@
 // Fleet backend outage drill (paper Sec. 2.3: the schedule synthesis
 // backend as shared infrastructure, and what vehicles do when it is gone).
 //
-// Part 1 walks one vehicle's BackendClient through the full circuit
-// breaker arc against a backend that crashes mid-conversation: warm
-// synthesis, crash, timeouts + capped jittered retries, breaker opens,
-// stale-cache fallback keeps the vehicle safe-degraded, restart,
-// half-open probe revalidates the stale artifact, breaker closes.
+// Part 1 walks one vehicle's BackendClient (the synchronous facade its
+// node resync and recovery planning use) through the full circuit breaker
+// arc against a backend that crashes mid-conversation: warm synthesis,
+// crash, an unreachable query opens the breaker, stale-cache fallback
+// keeps the vehicle safe-degraded, restart, the half-open probe
+// revalidates the stale artifact, breaker closes. Timeouts and jittered
+// retries belong to the fleet driver of parts 2 and 3.
 //
 // Part 2 runs a 200-vehicle fleet against one FleetScheduleService,
 // injects a fault wave (half the fleet loses an ECU inside 500 ms) on top
@@ -22,7 +24,6 @@
 //
 // Usage: fleet_backend
 #include <cstdio>
-#include <memory>
 
 #include "backend/client.hpp"
 #include "backend/fleet.hpp"
@@ -60,8 +61,7 @@ void breaker_walkthrough() {
   sim::Simulator simulator;
   backend::FleetScheduleService service(simulator);
   backend::ClientConfig config;
-  config.request_timeout = 50 * sim::kMillisecond;
-  config.backoff_base = 25 * sim::kMillisecond;
+  config.breaker_threshold = 1;  // one lost reply opens the breaker
   config.breaker_open_for = 300 * sim::kMillisecond;
   backend::BackendClient client(simulator, config);
   client.connect(&service);
@@ -71,42 +71,35 @@ void breaker_walkthrough() {
                 backend::to_string(from), backend::to_string(to));
   });
 
-  const auto request = [&client](backend::Criticality criticality) {
-    backend::SynthesisRequest req;
-    req.criticality = criticality;
-    req.tasks = std::make_shared<const backend::TaskSet>(demo_tasks());
-    return req;
-  };
-  const auto report = [&simulator](const char* what) {
-    return [&simulator, what](const backend::BackendOutcome& outcome) {
-      std::printf("  [%8.1f ms] %s: source=%s ok=%d stale=%d\n",
-                  ms(simulator.now()), what,
-                  backend::to_string(outcome.source), outcome.ok,
-                  outcome.stale);
-    };
+  const auto query = [&simulator, &client](const char* what,
+                                           backend::Criticality criticality) {
+    const backend::BackendOutcome outcome =
+        client.synthesize(demo_tasks(), 1'000, criticality);
+    std::printf("  [%8.1f ms] %s: source=%s ok=%d stale=%d\n",
+                ms(simulator.now()), what, backend::to_string(outcome.source),
+                outcome.ok, outcome.stale);
   };
 
   // Warm the artifact cache while the backend is healthy.
-  client.request(request(backend::Criticality::kOta), report("warm synth"));
-  // Crash the backend, then ask for recovery synthesis: every attempt
-  // times out, the breaker opens, and the stale artifact keeps us safe.
+  query("warm synth", backend::Criticality::kOta);
+  // Crash the backend, then ask for recovery synthesis: the query finds
+  // it unreachable, the breaker opens, and the stale artifact keeps us
+  // safe.
   simulator.schedule_at(100 * sim::kMillisecond, [&] { service.crash(); });
   simulator.schedule_at(120 * sim::kMillisecond, [&] {
-    client.request(request(backend::Criticality::kRecovery),
-                   report("recovery during outage"));
+    query("recovery during outage", backend::Criticality::kRecovery);
   });
-  // Heal. The next request probes half-open, revalidates the stale cache
+  // Heal. The next query probes half-open, revalidates the stale cache
   // entry, and closes the breaker.
   simulator.schedule_at(900 * sim::kMillisecond, [&] { service.restart(); });
   simulator.schedule_at(1'300 * sim::kMillisecond, [&] {
-    client.request(request(backend::Criticality::kRecovery),
-                   report("recovery after heal"));
+    query("recovery after heal", backend::Criticality::kRecovery);
   });
   simulator.run_until(2 * sim::kSecond);
-  std::printf("  attempts=%llu timeouts=%llu stale_served=%llu "
+  std::printf("  attempts=%llu breaker_opens=%llu stale_served=%llu "
               "revalidated=%llu\n\n",
               static_cast<unsigned long long>(client.attempts()),
-              static_cast<unsigned long long>(client.timeouts()),
+              static_cast<unsigned long long>(client.breaker_opens()),
               static_cast<unsigned long long>(client.stale_served()),
               static_cast<unsigned long long>(client.revalidated()));
 }

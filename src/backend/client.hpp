@@ -1,13 +1,22 @@
 // Vehicle-side backend client: the resilience half of the fleet backend.
 //
 // The paper puts synthesis off-vehicle (Sec. 2.3/4.1), which makes the
-// backend a single point of failure for the whole fleet. BackendClient is
-// what lets a vehicle *live without it*: every remote call gets a timeout,
-// capped exponential backoff with seeded jitter (no fleet-wide lockstep
-// retry storms), and a circuit breaker (CLOSED -> OPEN -> HALF_OPEN) so a
-// dead backend costs one probe per open window instead of a timeout per
-// call. On backend loss the client degrades gracefully instead of
-// stranding its caller:
+// backend a single point of failure for the whole fleet. This header holds
+// what lets a vehicle *live without it*, once for every user:
+//
+//   * ClientConfig — the resilience knobs, clamped by normalized();
+//   * Breaker — the CLOSED -> OPEN -> HALF_OPEN circuit breaker in one
+//     byte, with the one reply rule that decides what counts as a comms
+//     failure, so a dead backend costs one probe per open window instead
+//     of a timeout per call;
+//   * BackendClient — the synchronous facade in-vehicle control flow (node
+//     resync, recovery planning) calls: one query per call, the breaker
+//     around it and the fallback ladder behind it.
+//
+// FleetDriver (fleet.hpp) is the one asynchronous engine: per-attempt
+// timeout, capped exponential backoff with seeded jitter and retries, over
+// the same Breaker and ClientConfig. On backend loss both degrade
+// gracefully instead of stranding their caller:
 //
 //   1. vehicle-local artifact cache — the last backend-synthesized table
 //      for this topology, served stale;
@@ -19,19 +28,15 @@
 // On reconnect (breaker closing) every stale-served cache entry is
 // re-validated against the backend *before* state listeners fire, so
 // degradation is only lifted once the vehicle is back on fresh artifacts.
-//
-// Determinism: jitter comes from sim::Random::stream(jitter_seed,
-// jitter_stream) — give every client a distinct stream id (e.g. the
-// session index) or healed fleets retry in lockstep again.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <vector>
 
 #include "backend/service.hpp"
-#include "sim/random.hpp"
 
 namespace dynaplat::backend {
 
@@ -40,9 +45,10 @@ enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 const char* to_string(BreakerState state);
 
 struct ClientConfig {
-  /// Async request timeout (per attempt).
+  /// Per-attempt timeout of the fleet driver's retry engine.
   sim::Duration request_timeout = 100 * sim::kMillisecond;
-  /// Total attempts per request() (first try + retries).
+  /// Total attempts per fleet request (first try + retries), 1..255: the
+  /// driver's in-flight slab counts attempts in one byte.
   int max_attempts = 4;
   /// Exponential backoff between attempts: base, factor, cap.
   sim::Duration backoff_base = 50 * sim::kMillisecond;
@@ -50,10 +56,11 @@ struct ClientConfig {
   sim::Duration max_backoff = 800 * sim::kMillisecond;
   /// Symmetric jitter fraction applied to every backoff delay (0.2 = +/-20%).
   double jitter = 0.2;
+  /// Jitter draws come from sim::Random::stream(jitter_seed, ...) keyed by
+  /// the session index, so sessions never retry in lockstep.
   std::uint64_t jitter_seed = 0x0DDB10C5ull;
-  std::uint64_t jitter_stream = 0;
   /// Consecutive comms failures (timeout / unreachable) that trip the
-  /// breaker CLOSED -> OPEN.
+  /// breaker CLOSED -> OPEN, 1..63: Breaker counts failures in six bits.
   int breaker_threshold = 3;
   /// OPEN hold time before a HALF_OPEN probe is allowed.
   sim::Duration breaker_open_for = 500 * sim::kMillisecond;
@@ -62,6 +69,82 @@ struct ClientConfig {
   /// Vehicle-local artifact cache entries (drop-oldest).
   std::size_t artifact_cache_capacity = 64;
 };
+
+/// Clamps max_attempts to [1, 255] and breaker_threshold to [1, 63], the
+/// ranges the packed engine state can count. BackendClient and FleetDriver
+/// both apply it to the config they are given.
+ClientConfig normalized(ClientConfig config);
+
+/// Circuit breaker state machine, packed in one byte: low 2 bits the
+/// BreakerState, high 6 bits the consecutive comms-failure count
+/// (saturating at 63). It only moves between states; the owner keeps the
+/// OPEN hold deadline and acts on the returned Edge (listeners, counters,
+/// revalidation, failover).
+class Breaker {
+ public:
+  /// The transition an event took, if any.
+  enum class Edge : std::uint8_t { kNone, kOpened, kHalfOpened, kClosed };
+
+  static constexpr int kMaxFailures = 63;
+
+  Breaker() = default;  ///< CLOSED, zero failures
+  /// A breaker in `state` with `failures` (0..63) consecutive failures.
+  Breaker(BreakerState state, int failures) { set(state, failures); }
+
+  BreakerState state() const {
+    return static_cast<BreakerState>(bits_ & kStateMask);
+  }
+  int failures() const { return bits_ >> 2; }
+  std::uint8_t bits() const { return bits_; }
+
+  /// Gate before an attempt. OPEN with its hold window over moves to
+  /// HALF_OPEN (kHalfOpened) and the attempt goes out as the probe;
+  /// otherwise nothing changes. blocks() then says whether the breaker
+  /// still refuses the attempt.
+  Edge gate(bool hold_over) {
+    if (state() != BreakerState::kOpen || !hold_over) return Edge::kNone;
+    set(BreakerState::kHalfOpen, failures());
+    return Edge::kHalfOpened;
+  }
+  bool blocks() const { return state() == BreakerState::kOpen; }
+
+  /// A comms failure: a failed HALF_OPEN probe reopens, and CLOSED opens
+  /// once the streak reaches `threshold` (1..63, see normalized()).
+  Edge fail(int threshold) {
+    const BreakerState current = state();
+    const int streak = std::min(failures() + 1, kMaxFailures);
+    const bool open =
+        current == BreakerState::kHalfOpen ||
+        (current == BreakerState::kClosed && streak >= threshold);
+    set(open ? BreakerState::kOpen : current, streak);
+    return open ? Edge::kOpened : Edge::kNone;
+  }
+
+  /// The reply rule. Any verdict the backend sent — kOk, kInfeasible, and
+  /// also kShed / kRetryAfter (alive, just refusing work) — is a comms
+  /// success: CLOSED with no failures, kClosed when that ended an OPEN or
+  /// HALF_OPEN spell. kUnreachable is a failure, as is a timeout (call
+  /// fail()).
+  Edge reply(ResponseStatus status, int threshold) {
+    if (status == ResponseStatus::kUnreachable) return fail(threshold);
+    const bool was_closed = state() == BreakerState::kClosed;
+    bits_ = 0;
+    return was_closed ? Edge::kNone : Edge::kClosed;
+  }
+
+ private:
+  static constexpr std::uint8_t kStateMask = 0x03;
+
+  void set(BreakerState state, int failures) {
+    bits_ = static_cast<std::uint8_t>(static_cast<std::uint8_t>(state) |
+                                      failures << 2);
+  }
+
+  std::uint8_t bits_ = 0;
+};
+
+static_assert(sizeof(Breaker) == 1,
+              "the fleet driver stores one Breaker per session");
 
 struct BackendOutcome {
   enum class Source : std::uint8_t {
@@ -87,12 +170,10 @@ const char* to_string(BackendOutcome::Source source);
 
 class BackendClient {
  public:
-  using Callback = std::function<void(const BackendOutcome&)>;
   /// (previous, next) breaker transition, fired after any re-validation.
   using Listener = std::function<void(BreakerState, BreakerState)>;
 
   explicit BackendClient(sim::Simulator& simulator, ClientConfig config = {});
-  ~BackendClient();
   BackendClient(const BackendClient&) = delete;
   BackendClient& operator=(const BackendClient&) = delete;
 
@@ -105,41 +186,28 @@ class BackendClient {
   void set_loopback(dse::ScheduleServer* server);
   bool connected() const { return service_ != nullptr; }
 
-  /// Synchronous facade for in-vehicle control flow (node resync, recovery
-  /// planning): one control-plane query per call — shed/backpressure
-  /// verdicts are not retried inline (the caller's own retry cadence
-  /// handles that), comms failures feed the breaker, and the fallback
-  /// ladder runs before returning.
+  /// One control-plane query per call: shed/backpressure verdicts are not
+  /// retried inline (the caller's own retry cadence handles that), the
+  /// reply feeds the breaker, and the fallback ladder runs before
+  /// returning whenever no fresh artifact came back.
   BackendOutcome synthesize(const std::vector<dse::AnalysisTask>& tasks,
                             std::uint64_t ecu_mips,
                             Criticality criticality = Criticality::kResync);
 
-  /// Full async path with sim-time timeout, capped jittered backoff and
-  /// breaker accounting. The callback fires exactly once with the final
-  /// outcome (backend, cache, local fallback, or kNone).
-  void request(SynthesisRequest request, Callback done);
-
-  BreakerState breaker() const { return state_; }
+  BreakerState breaker() const { return breaker_.state(); }
   void add_listener(Listener listener) {
     listeners_.push_back(std::move(listener));
   }
 
-  void set_metrics(obs::MetricsRegistry* metrics, const std::string& prefix);
-  void set_coverage(obs::CoverageMap* coverage);
-
   // --- Introspection --------------------------------------------------------
   std::uint64_t attempts() const { return attempts_; }
-  std::uint64_t timeouts() const { return timeouts_; }
   std::uint64_t breaker_opens() const { return breaker_opens_; }
   std::uint64_t breaker_fast_fails() const { return breaker_fast_fails_; }
   std::uint64_t stale_served() const { return stale_served_; }
   std::uint64_t local_admissions() const { return local_admissions_; }
   std::uint64_t revalidated() const { return revalidated_; }
   std::uint64_t exhausted() const { return exhausted_; }
-  std::size_t inflight() const { return pending_.size(); }
   std::size_t cached_artifacts() const { return cache_.size(); }
-
-  std::uint64_t fingerprint() const;
 
   const ClientConfig& config() const { return config_; }
 
@@ -151,32 +219,11 @@ class BackendClient {
     bool stale_used = false;
     std::uint64_t order = 0;  ///< insertion order, drop-oldest
   };
-  struct Pending {
-    SynthesisRequest request;
-    Callback done;
-    int attempt = 0;
-    sim::Duration backoff = 0;
-    /// Bumped per attempt: a response from a timed-out attempt is ignored.
-    std::uint64_t attempt_token = 0;
-    sim::EventId timeout;
-    sim::EventId resubmit;
-  };
 
-  // Breaker.
-  bool allow_request();
-  void record_success();
-  void record_failure();
-  void to_state(BreakerState next);
+  /// Acts on a breaker transition out of `prev`: arms the OPEN hold window,
+  /// revalidates stale entries on close, then fires the listeners.
+  void on_edge(BreakerState prev, Breaker::Edge edge);
   void revalidate_stale();
-
-  // Async plumbing.
-  void start_attempt(std::uint64_t id);
-  void on_response(std::uint64_t id, std::uint64_t token,
-                   const SynthesisResponse& response);
-  void on_timeout(std::uint64_t id);
-  void retry_or_fail(std::uint64_t id, sim::Duration floor_delay);
-  void finish(std::uint64_t id, const BackendOutcome& outcome);
-  sim::Duration next_backoff(Pending& pending);
 
   BackendOutcome from_response(const SynthesisRequest& request,
                                const SynthesisResponse& response);
@@ -193,40 +240,22 @@ class BackendClient {
   FleetScheduleService* service_ = nullptr;
   dse::ScheduleServer* loopback_ = nullptr;
   dse::AdmissionController admission_;
-  sim::Random rng_;
 
-  BreakerState state_ = BreakerState::kClosed;
-  int consecutive_failures_ = 0;
+  Breaker breaker_;
   sim::Time open_until_ = 0;
 
   std::map<std::uint64_t, CacheEntry> cache_;
   std::uint64_t next_order_ = 1;
 
-  std::map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_id_ = 1;
-
   std::vector<Listener> listeners_;
 
   std::uint64_t attempts_ = 0;
-  std::uint64_t timeouts_ = 0;
   std::uint64_t breaker_opens_ = 0;
   std::uint64_t breaker_fast_fails_ = 0;
   std::uint64_t stale_served_ = 0;
   std::uint64_t local_admissions_ = 0;
   std::uint64_t revalidated_ = 0;
   std::uint64_t exhausted_ = 0;
-
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Gauge* state_gauge_ = nullptr;
-  obs::Counter* timeout_counter_ = nullptr;
-  obs::Counter* fallback_counter_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
-  std::uint32_t cov_open_ = 0;
-  std::uint32_t cov_half_open_ = 0;
-  std::uint32_t cov_closed_ = 0;
-  std::uint32_t cov_stale_ = 0;
-  std::uint32_t cov_local_ = 0;
-  std::uint32_t cov_exhausted_ = 0;
 };
 
 }  // namespace dynaplat::backend

@@ -74,6 +74,7 @@ FleetDriver::FleetDriver(sim::Simulator& simulator,
   // sane use (the reference overload by construction).
   config_.sessions = std::max<std::size_t>(config_.sessions, 1);
   config_.topology_classes = std::max<std::size_t>(config_.topology_classes, 1);
+  config_.client = normalized(config_.client);
 }
 
 FleetDriver::~FleetDriver() { cancel_events(); }
@@ -118,7 +119,7 @@ void FleetDriver::reset_sessions() {
   const std::size_t n = config_.sessions;
   state_.assign(n, static_cast<std::uint8_t>(SessionState::kNominal));
   flags_.assign(n, 0);
-  breaker_.assign(n, 0);  // CLOSED, zero consecutive failures
+  breaker_.assign(n, Breaker{});
   class_of_.assign(n, 0);
   jitter_draws_.assign(n, 0);
   open_until_.assign(n, 0);
@@ -220,20 +221,13 @@ void FleetDriver::run() {
 static_assert(FleetDriver::hot_bytes_per_session() <= 64,
               "per-session hot state must stay within one cache line");
 
-// --- Compact per-session client engine ---------------------------------------
-// BackendClient semantics (timeout / capped jittered backoff / breaker /
-// fallback ladder / stale revalidation) replayed over the SoA arrays, with
-// one addition: while the home region's breaker is OPEN, attempts fail
-// over to the sibling region instead of fast-failing (regions > 1 only).
-// Only home-region results feed the home breaker; the HALF_OPEN probe at
-// open-window expiry is what returns traffic home.
-
-void FleetDriver::set_breaker(std::uint32_t s, BreakerState state,
-                              int failures) {
-  breaker_[s] = static_cast<std::uint8_t>(
-      (static_cast<std::uint8_t>(state) & kBreakerStateMask) |
-      (std::min(failures, 63) << 2));
-}
+// --- Client retry engine -----------------------------------------------------
+// The one timeout / capped jittered backoff / retry implementation, over
+// the SoA arrays: one Breaker byte per session (client.hpp), the fallback
+// ladder and stale revalidation. While the home region's breaker is OPEN,
+// attempts fail over to the sibling region instead of fast-failing
+// (regions > 1 only). Only home-region results feed the home breaker; the
+// HALF_OPEN probe at open-window expiry is what returns traffic home.
 
 double FleetDriver::jitter_draw(std::uint32_t s) {
   // Stateless per-draw derivation: (session, draw#) indexes a pure hash
@@ -243,26 +237,14 @@ double FleetDriver::jitter_draw(std::uint32_t s) {
   return sim::Random::stream(config_.client.jitter_seed, stream).uniform01();
 }
 
-void FleetDriver::record_success(std::uint32_t s) {
-  const BreakerState prev = breaker_of(s);
-  set_breaker(s, BreakerState::kClosed, 0);
-  // Breaker closing lifts degradation only after stale artifacts are
-  // re-validated against the backend (same ordering as BackendClient).
-  if (prev != BreakerState::kClosed) revalidate_stale(s);
-}
-
-void FleetDriver::record_failure(std::uint32_t s) {
-  const BreakerState state = breaker_of(s);
-  const int failures = std::min(failures_of(s) + 1, 63);
-  const bool open = state == BreakerState::kHalfOpen ||
-                    (state == BreakerState::kClosed &&
-                     failures >= config_.client.breaker_threshold);
-  if (open) {
-    set_breaker(s, BreakerState::kOpen, failures);
+void FleetDriver::on_edge(std::uint32_t s, Breaker::Edge edge) {
+  if (edge == Breaker::Edge::kOpened) {
     open_until_[s] = sim_.now() + config_.client.breaker_open_for;
     ++breaker_opens_;
-  } else {
-    set_breaker(s, state, failures);
+  } else if (edge == Breaker::Edge::kClosed) {
+    // Breaker closing lifts degradation only after stale artifacts are
+    // re-validated against the backend (same ordering as BackendClient).
+    revalidate_stale(s);
   }
 }
 
@@ -339,11 +321,12 @@ void FleetDriver::start_attempt(std::uint64_t id) {
   const std::uint32_t s = pending->session;
   const std::uint8_t home = home_region(s);
   std::uint8_t target = home;
-  if (breaker_of(s) == BreakerState::kOpen) {
-    if (sim_.now() >= open_until_[s]) {
-      // Open window expired: one HALF_OPEN probe goes home.
-      set_breaker(s, BreakerState::kHalfOpen, failures_of(s));
-    } else if (services_.size() > 1) {
+  Breaker& breaker = breaker_[s];
+  // An OPEN breaker whose hold window is over half-opens: this attempt is
+  // the probe, and it goes home.
+  breaker.gate(sim_.now() >= open_until_[s]);
+  if (breaker.blocks()) {
+    if (services_.size() > 1) {
       // Home is known-bad: redirect this attempt to the sibling region.
       target = static_cast<std::uint8_t>((home + 1) % services_.size());
       ++failovers_;
@@ -381,11 +364,13 @@ void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
   sim_.cancel(pending->timeout);
   pending->timeout = {};
   const std::uint32_t s = pending->session;
-  const bool was_home = pending->target_region == home_region(s);
+  if (pending->target_region == home_region(s)) {
+    on_edge(s, breaker_[s].reply(response.status,
+                                 config_.client.breaker_threshold));
+  }
   switch (response.status) {
     case ResponseStatus::kOk:
     case ResponseStatus::kInfeasible: {
-      if (was_home) record_success(s);
       Outcome outcome;
       outcome.source = BackendOutcome::Source::kBackend;
       outcome.ok = response.status == ResponseStatus::kOk &&
@@ -393,10 +378,14 @@ void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
       if (outcome.ok && config_.client.artifact_cache_capacity > 0) {
         // Vehicle-local artifact cache: bytes shared per class, presence
         // tracked per session (capacity 0 ablates it, as in BackendClient).
-        // A fresh store clears the stale marker.
+        // Synthesis is a pure function of the class's tasks and ECU speed,
+        // so the bytes are stored once. A fresh store clears the stale
+        // marker.
         TopologyClass& cls = classes_[class_of_[s]];
-        cls.artifact = response.artifact;
-        cls.artifact_valid = true;
+        if (!cls.artifact_valid) {
+          cls.artifact = response.artifact;
+          cls.artifact_valid = true;
+        }
         flags_[s] =
             static_cast<std::uint8_t>((flags_[s] | kFlagHasArtifact) &
                                       ~kFlagStaleUsed);
@@ -406,13 +395,9 @@ void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
     }
     case ResponseStatus::kShed:
     case ResponseStatus::kRetryAfter:
-      // The backend answered: comms are fine (the breaker tracks reachability,
-      // not load-shedding).
-      if (was_home) record_success(s);
       retry_or_fail(id, response.retry_after);
       return;
     case ResponseStatus::kUnreachable:
-      if (was_home) record_failure(s);
       retry_or_fail(id, 0);
       return;
   }
@@ -424,8 +409,9 @@ void FleetDriver::on_timeout(std::uint64_t id) {
   pending->timeout = {};
   ++timeouts_;
   ++pending->attempt_token;  // a late response to this attempt is ignored
-  if (pending->target_region == home_region(pending->session)) {
-    record_failure(pending->session);
+  const std::uint32_t s = pending->session;
+  if (pending->target_region == home_region(s)) {
+    on_edge(s, breaker_[s].fail(config_.client.breaker_threshold));
   }
   retry_or_fail(id, 0);
 }
@@ -438,7 +424,7 @@ void FleetDriver::retry_or_fail(std::uint64_t id, sim::Duration floor_delay) {
   // to. With a sibling region the retry proceeds and start_attempt
   // redirects it.
   if (pending->attempt >= config_.client.max_attempts ||
-      (breaker_of(s) == BreakerState::kOpen && services_.size() == 1)) {
+      (breaker_[s].blocks() && services_.size() == 1)) {
     finish_with_fallback(id);
     return;
   }
@@ -650,7 +636,8 @@ std::uint64_t FleetDriver::fingerprint() const {
   for (std::size_t i = 0; i < n; ++i) {
     hash = fnv1a_u64(hash, static_cast<std::uint64_t>(state_[i]) |
                              static_cast<std::uint64_t>(flags_[i]) << 8 |
-                             static_cast<std::uint64_t>(breaker_[i]) << 16 |
+                             static_cast<std::uint64_t>(breaker_[i].bits())
+                                 << 16 |
                              static_cast<std::uint64_t>(jitter_draws_[i])
                                  << 32);
     hash = fnv1a_u64(hash, class_of_[i]);

@@ -18,20 +18,20 @@
 // recovery synthesis on a fixed cadence until the backend delivers a
 // fresh artifact.
 //
-// Million-session scaling (ISSUE 10, DESIGN.md §15): the driver stores
-// sessions as structure-of-arrays — 8/16-bit enums and flags, indices
-// instead of pointers, per-class task sets and artifacts shared through a
-// topology-class table — at ~35 hot bytes per session, and implements the
-// BackendClient resilience semantics (per-attempt timeout, capped jittered
-// backoff, circuit breaker, stale-cache / local-admission fallback ladder,
-// stale revalidation on reconnect) over that compact state instead of
-// embedding a fat client object per vehicle. Jitter draws derive from
-// sim::Random::stream(jitter_seed, session·2^32 + draw#) so no generator
-// state is stored. Every timer (OTA cadences, the fault wave, timeouts,
-// backoff resubmits, recovery retries, the outage window) is a plain event
-// on the sim::Simulator heap, so all of them share the kernel's one
-// (at, seq) order. The driver keeps the id of each event it schedules and
-// cancels them on re-run and in its destructor.
+// Million-session scaling (DESIGN.md §15): the driver stores sessions as
+// structure-of-arrays — 8/16-bit enums and flags, indices instead of
+// pointers, per-class task sets and artifacts shared through a
+// topology-class table — at ~35 hot bytes per session. It is the one
+// client retry engine (per-attempt timeout, capped jittered backoff,
+// retries, stale-cache / local-admission fallback ladder, stale
+// revalidation on reconnect), over one backend::Breaker byte per session
+// (client.hpp) — the same breaker BackendClient's synchronous facade uses.
+// Jitter draws derive from sim::Random::stream(jitter_seed, session·2^32 +
+// draw#) so no generator state is stored. Every timer (OTA cadences, the
+// fault wave, timeouts, backoff resubmits, recovery retries, the outage
+// window) is a plain event on the sim::Simulator heap, so all of them
+// share the kernel's one (at, seq) order. The driver keeps the id of each
+// event it schedules and cancels them on re-run and in its destructor.
 //
 // Multi-region: with N services, session i's home region is i % N. While
 // the home breaker is OPEN, attempts fail over to the sibling region (a
@@ -80,8 +80,9 @@ struct FleetConfig {
   /// Degraded sessions re-submit recovery synthesis on this cadence until
   /// the backend delivers a fresh artifact.
   sim::Duration recovery_retry = 250 * sim::kMillisecond;
-  /// Vehicle-side resilience knobs (timeout/backoff/breaker/fallback);
-  /// jitter_stream is implicitly the session index.
+  /// Vehicle-side resilience knobs (timeout/backoff/breaker/fallback),
+  /// clamped by normalized(); each session draws jitter from its own
+  /// stream keyed by the session index.
   ClientConfig client;
   /// Fraction of sessions whose task set drifts from its class (a
   /// per-vehicle mutation): each drifted vehicle becomes its own
@@ -170,7 +171,8 @@ class FleetDriver {
   std::size_t topology_class_count() const { return classes_.size(); }
   /// Bytes of per-session array state (the SoA compression target).
   static constexpr std::size_t hot_bytes_per_session() {
-    return sizeof(std::uint8_t) * 3 +   // state, flags, breaker
+    return sizeof(std::uint8_t) * 2 +   // state, flags
+           sizeof(Breaker) +            // packed breaker
            sizeof(std::uint32_t) * 2 +  // class index, jitter draw count
            sizeof(sim::Time) * 3;       // open_until, unsafe_since, issued
   }
@@ -192,8 +194,6 @@ class FleetDriver {
   static constexpr std::uint8_t kFlagRecoveryInflight = 1u << 0;
   static constexpr std::uint8_t kFlagHasArtifact = 1u << 1;
   static constexpr std::uint8_t kFlagStaleUsed = 1u << 2;
-  // breaker_ packing: low 2 bits state, high 6 bits consecutive failures.
-  static constexpr std::uint8_t kBreakerStateMask = 0x03;
 
   struct TopologyClass {
     /// Every request of the class carries this one handle: no per-request
@@ -217,7 +217,7 @@ class FleetDriver {
     std::uint32_t session = 0;
     std::uint8_t kind = 0;  // 0 = ota, 1 = recovery
     std::uint8_t target_region = 0;
-    std::uint8_t attempt = 0;
+    std::uint8_t attempt = 0;  ///< ClientConfig::max_attempts is <= 255
     std::uint32_t gen = 1;
     std::uint32_t attempt_token = 0;
     std::uint32_t next_free = 0xFFFFFFFFu;
@@ -248,16 +248,12 @@ class FleetDriver {
   SessionState state_of(std::uint32_t s) const {
     return static_cast<SessionState>(state_[s]);
   }
-  BreakerState breaker_of(std::uint32_t s) const {
-    return static_cast<BreakerState>(breaker_[s] & kBreakerStateMask);
-  }
-  int failures_of(std::uint32_t s) const { return breaker_[s] >> 2; }
-  void set_breaker(std::uint32_t s, BreakerState state, int failures);
   double jitter_draw(std::uint32_t s);
 
-  // Compact client engine (BackendClient semantics over SoA state).
-  void record_success(std::uint32_t s);
-  void record_failure(std::uint32_t s);
+  // Client retry engine over the SoA state.
+  /// Acts on session s's breaker transition: arms the OPEN hold window and
+  /// counts the open, or revalidates stale artifacts on close.
+  void on_edge(std::uint32_t s, Breaker::Edge edge);
   void revalidate_stale(std::uint32_t s);
   std::uint64_t begin_request(std::uint32_t s, std::uint8_t kind);
   Pending* lookup(std::uint64_t id);
@@ -290,7 +286,7 @@ class FleetDriver {
   // --- Per-session SoA state (hot_bytes_per_session() total) ---------------
   std::vector<std::uint8_t> state_;
   std::vector<std::uint8_t> flags_;
-  std::vector<std::uint8_t> breaker_;
+  std::vector<Breaker> breaker_;
   std::vector<std::uint32_t> class_of_;
   std::vector<std::uint32_t> jitter_draws_;
   std::vector<sim::Time> open_until_;

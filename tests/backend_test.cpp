@@ -511,40 +511,167 @@ TEST(CircuitBreaker, FallbackLadderEndsAtExplicitNone) {
 }
 
 TEST(CircuitBreaker, AsyncRetriesAreCappedJitteredAndDeterministic) {
-  const auto run_once = [](std::uint64_t stream) {
+  // FleetDriver is the async retry engine: one wave-hit session whose
+  // recovery request meets a dead backend.
+  struct Run {
+    sim::Duration unsafe_window = 0;
+    std::uint64_t fingerprint = 0;
+  };
+  const auto run_once = [](std::uint64_t jitter_seed) {
     sim::Simulator simulator;
     FleetScheduleService service(simulator);
     service.crash();
-    ClientConfig config;
-    config.request_timeout = 20 * sim::kMillisecond;
-    config.max_attempts = 3;
-    config.backoff_base = 10 * sim::kMillisecond;
-    config.breaker_threshold = 100;  // keep the breaker out of this test
-    config.jitter_stream = stream;
-    BackendClient client(simulator, config);
-    client.connect(&service);
-    SynthesisRequest request;
-    request.tasks = share(feasible_set());
-    int finished = 0;
-    sim::Time finished_at = 0;
-    BackendOutcome last;
-    client.request(request, [&](const BackendOutcome& outcome) {
-      ++finished;
-      finished_at = simulator.now();
-      last = outcome;
-    });
-    simulator.run_until(sim::seconds(5));
-    EXPECT_EQ(finished, 1);  // the callback fires exactly once
-    EXPECT_EQ(client.attempts(), 3u);
-    EXPECT_EQ(client.timeouts(), 3u);
-    EXPECT_TRUE(last.locally_admitted);
-    return finished_at;
+    FleetConfig config;
+    config.sessions = 1;
+    config.topology_classes = 1;
+    config.seed = 5;
+    config.horizon = 1 * sim::kSecond;
+    config.ota_period = 0;
+    config.wave_at = 100 * sim::kMillisecond;
+    config.wave_fraction = 1.0;
+    config.recovery_retry = 10 * sim::kSecond;  // one request in the run
+    config.drain_grace = 0;
+    config.client.request_timeout = 20 * sim::kMillisecond;
+    config.client.max_attempts = 3;
+    config.client.backoff_base = 10 * sim::kMillisecond;
+    config.client.breaker_threshold = 63;  // keep the breaker out of this test
+    config.client.jitter_seed = jitter_seed;
+    FleetDriver driver(simulator, service, config);
+    driver.run();
+    EXPECT_EQ(driver.attempts(), 3u);  // capped at max_attempts
+    EXPECT_EQ(driver.client_timeouts(), 3u);  // one timeout per attempt
+    EXPECT_EQ(driver.breaker_fast_fails(), 0u);
+    // The request ended on the fallback ladder: local admission, safe but
+    // degraded.
+    EXPECT_EQ(driver.fallback_local(), 1u);
+    EXPECT_EQ(driver.unsafe_now(), 0u);
+    EXPECT_EQ(driver.recoveries_outstanding(), 1u);
+    return Run{driver.max_unsafe_duration(), driver.fingerprint()};
   };
-  const sim::Time a = run_once(7);
-  const sim::Time b = run_once(7);
-  const sim::Time c = run_once(8);
-  EXPECT_EQ(a, b);  // same jitter stream: bit-identical schedule
-  EXPECT_NE(a, c);  // distinct streams: decorrelated retry times
+  const Run a = run_once(7);
+  const Run b = run_once(7);
+  const Run c = run_once(8);
+  // Three 20 ms timeouts plus two jittered backoffs near 10 and 20 ms.
+  EXPECT_GT(a.unsafe_window, 80 * sim::kMillisecond);
+  EXPECT_LT(a.unsafe_window, 100 * sim::kMillisecond);
+  EXPECT_EQ(a.unsafe_window, b.unsafe_window);  // same seed: bit-identical
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_NE(a.unsafe_window, c.unsafe_window);  // the jitter moves fallback
+}
+
+// --- Breaker transition table -------------------------------------------------
+
+enum class BreakerEvent {
+  kGateHoldOver,
+  kGateHolding,
+  kReplyOk,
+  kReplyInfeasible,
+  kReplyShed,
+  kReplyRetryAfter,
+  kReplyUnreachable,
+  kTimeout,
+};
+
+struct BreakerStep {
+  BreakerState state;
+  int failures;
+  backend::Breaker::Edge edge;
+};
+
+/// DESIGN.md §14, written out: CLOSED -> OPEN once consecutive failures
+/// reach the threshold; OPEN -> HALF_OPEN when the hold window is over;
+/// HALF_OPEN -> CLOSED on a successful probe, back to OPEN on a failed
+/// one. Every verdict the backend sent is a comms success; unreachable and
+/// timeouts are failures, counted up to 63.
+BreakerStep expected_step(BreakerState state, int failures, int threshold,
+                          BreakerEvent event) {
+  using Edge = backend::Breaker::Edge;
+  switch (event) {
+    case BreakerEvent::kGateHoldOver:
+      if (state == BreakerState::kOpen) {
+        return {BreakerState::kHalfOpen, failures, Edge::kHalfOpened};
+      }
+      return {state, failures, Edge::kNone};
+    case BreakerEvent::kGateHolding:
+      return {state, failures, Edge::kNone};
+    case BreakerEvent::kReplyOk:
+    case BreakerEvent::kReplyInfeasible:
+    case BreakerEvent::kReplyShed:
+    case BreakerEvent::kReplyRetryAfter:
+      return {BreakerState::kClosed, 0,
+              state == BreakerState::kClosed ? Edge::kNone : Edge::kClosed};
+    case BreakerEvent::kReplyUnreachable:
+    case BreakerEvent::kTimeout: {
+      const int streak = std::min(failures + 1, 63);
+      if (state == BreakerState::kHalfOpen ||
+          (state == BreakerState::kClosed && streak >= threshold)) {
+        return {BreakerState::kOpen, streak, Edge::kOpened};
+      }
+      return {state, streak, Edge::kNone};
+    }
+  }
+  return {state, failures, Edge::kNone};
+}
+
+TEST(Breaker, TransitionTableFollowsTheDesignDiagram) {
+  using backend::Breaker;
+  const BreakerEvent events[] = {
+      BreakerEvent::kGateHoldOver,     BreakerEvent::kGateHolding,
+      BreakerEvent::kReplyOk,          BreakerEvent::kReplyInfeasible,
+      BreakerEvent::kReplyShed,        BreakerEvent::kReplyRetryAfter,
+      BreakerEvent::kReplyUnreachable, BreakerEvent::kTimeout};
+  int rows = 0;
+  for (const int threshold : {3, 63}) {
+    for (const BreakerState state : {BreakerState::kClosed,
+                                     BreakerState::kOpen,
+                                     BreakerState::kHalfOpen}) {
+      for (const int failures : {0, threshold - 1, threshold, 63}) {
+        for (const BreakerEvent event : events) {
+          Breaker breaker(state, failures);
+          ASSERT_EQ(breaker.state(), state);
+          ASSERT_EQ(breaker.failures(), failures);
+          Breaker::Edge edge = Breaker::Edge::kNone;
+          switch (event) {
+            case BreakerEvent::kGateHoldOver: edge = breaker.gate(true); break;
+            case BreakerEvent::kGateHolding: edge = breaker.gate(false); break;
+            case BreakerEvent::kReplyOk:
+              edge = breaker.reply(ResponseStatus::kOk, threshold);
+              break;
+            case BreakerEvent::kReplyInfeasible:
+              edge = breaker.reply(ResponseStatus::kInfeasible, threshold);
+              break;
+            case BreakerEvent::kReplyShed:
+              edge = breaker.reply(ResponseStatus::kShed, threshold);
+              break;
+            case BreakerEvent::kReplyRetryAfter:
+              edge = breaker.reply(ResponseStatus::kRetryAfter, threshold);
+              break;
+            case BreakerEvent::kReplyUnreachable:
+              edge = breaker.reply(ResponseStatus::kUnreachable, threshold);
+              break;
+            case BreakerEvent::kTimeout: edge = breaker.fail(threshold); break;
+          }
+          const BreakerStep want =
+              expected_step(state, failures, threshold, event);
+          const std::string row = std::string(backend::to_string(state)) +
+                                  " f=" + std::to_string(failures) + " T=" +
+                                  std::to_string(threshold) + " event " +
+                                  std::to_string(static_cast<int>(event));
+          EXPECT_EQ(breaker.state(), want.state) << row;
+          EXPECT_EQ(breaker.failures(), want.failures) << row;
+          EXPECT_EQ(edge, want.edge) << row;
+          // Only OPEN refuses an attempt.
+          EXPECT_EQ(breaker.blocks(), want.state == BreakerState::kOpen) << row;
+          // The packing: low 2 bits state, high 6 bits failures.
+          EXPECT_EQ(breaker.bits(),
+                    static_cast<int>(want.state) | want.failures << 2)
+              << row;
+          ++rows;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rows, 2 * 3 * 4 * 8);
 }
 
 // --- Transport retransmit jitter ----------------------------------------------
@@ -1287,6 +1414,100 @@ TEST(FleetDriverScale, TwoRegionFailoverSurvivesRegionOutage) {
   checker.require_fleet_recovery_bounded(driver, 4 * sim::kSecond);
   const auto report = checker.run();
   EXPECT_TRUE(report.passed) << report.summary();
+  // The failover branch of the retry engine: which attempts leave home,
+  // when the probe returns them, and which breaker each result feeds.
+  EXPECT_EQ(driver.fingerprint(), 0x5397ab59d56cf70dull);
+}
+
+TEST(FleetDriverScale, FleetOutageSeedOneGolden) {
+  // perfbench fleet_outage, seed 1: 25k sessions on a 10 ms OTA phase grid,
+  // a 50% fault wave at 2 s over a full backend crash at 1.5..2.5 s, and a
+  // batching service provisioned one worker per 2k sessions.
+  FleetConfig config;
+  config.sessions = 25'000;
+  config.topology_classes = 32;
+  config.seed = 1;
+  config.horizon = 6 * sim::kSecond;
+  config.ota_period = 2 * sim::kSecond;
+  config.ota_phase_grid = 10 * sim::kMillisecond;
+  config.wave_at = 2 * sim::kSecond;
+  config.wave_fraction = 0.5;
+  config.wave_stagger = 500 * sim::kMillisecond;
+  config.recovery_retry = 250 * sim::kMillisecond;
+  config.outage_at = 1'500 * sim::kMillisecond;
+  config.outage_duration = 1 * sim::kSecond;
+  config.record_latencies = false;
+  ServiceConfig service_config;
+  service_config.batching = true;
+  service_config.workers = 25'000 / 2'000;
+  service_config.min_service_time = 500 * sim::kMicrosecond;
+  service_config.queue_capacity = 256;
+  service_config.backpressure_watermark = 192;
+  service_config.recovery_reserve = 32;
+
+  sim::Simulator simulator;
+  FleetScheduleService service(simulator, service_config);
+  FleetDriver driver(simulator, service, config);
+  driver.run();
+  EXPECT_EQ(driver.fingerprint(), 0xed1a6cff4bdf2866ull);
+}
+
+/// Every session is hit by the wave against a backend that is down for
+/// the whole run, so each recovery request spends all its attempts.
+FleetConfig dead_backend_fleet(int max_attempts, int breaker_threshold) {
+  FleetConfig config;
+  config.sessions = 20;
+  config.topology_classes = 4;
+  config.seed = 71;
+  config.horizon = 3 * sim::kSecond;
+  config.ota_period = 0;
+  config.wave_at = 100 * sim::kMillisecond;
+  config.wave_fraction = 1.0;
+  config.wave_stagger = 100 * sim::kMillisecond;
+  config.recovery_retry = 10 * sim::kMillisecond;
+  config.drain_grace = 0;
+  config.client.request_timeout = 1 * sim::kMillisecond;
+  config.client.backoff_base = 1 * sim::kMillisecond;
+  config.client.max_backoff = 1 * sim::kMillisecond;
+  config.client.max_attempts = max_attempts;
+  config.client.breaker_threshold = breaker_threshold;
+  return config;
+}
+
+TEST(FleetDriverScale, ClientConfigIsClampedToThePackedRanges) {
+  // The slab counts attempts in a byte and the breaker counts failures in
+  // six bits: out-of-range settings are clamped, not wrapped or saturated
+  // below the threshold.
+  for (const int max_attempts : {255, 256, 300}) {
+    sim::Simulator simulator;
+    FleetScheduleService service(simulator);
+    service.crash();
+    FleetDriver driver(simulator, service,
+                       dead_backend_fleet(max_attempts, 100));
+    driver.run();
+    EXPECT_EQ(driver.peak_unsafe(), 20u) << max_attempts;
+    EXPECT_EQ(driver.unsafe_now(), 0u) << max_attempts;
+    EXPECT_GE(driver.fallback_local(), 20u) << max_attempts;
+  }
+  for (const int threshold : {63, 64, 100}) {
+    sim::Simulator simulator;
+    FleetScheduleService service(simulator);
+    service.crash();
+    FleetDriver driver(simulator, service, dead_backend_fleet(4, threshold));
+    driver.run();
+    EXPECT_GT(driver.client_breaker_opens(), 0u) << threshold;
+  }
+
+  sim::Simulator simulator;
+  ClientConfig config;
+  config.max_attempts = 1'000;
+  config.breaker_threshold = 1'000;
+  EXPECT_EQ(BackendClient(simulator, config).config().max_attempts, 255);
+  EXPECT_EQ(BackendClient(simulator, config).config().breaker_threshold, 63);
+  config.max_attempts = 0;
+  config.breaker_threshold = -5;
+  EXPECT_EQ(BackendClient(simulator, config).config().max_attempts, 1);
+  EXPECT_EQ(BackendClient(simulator, config).config().breaker_threshold, 1);
 }
 
 TEST(FleetDriverScale, TopologyDriftFragmentsKeySpace) {
