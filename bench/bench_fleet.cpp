@@ -49,7 +49,9 @@
 //
 // Machine-readable results go to BENCH_fleet.json. --ci caps the tier
 // ladder at 100k sessions and enforces a sessions/sec floor against the
-// 10k baseline so CI catches per-session cost regressions.
+// 10k baseline so CI catches per-session cost regressions; it writes
+// BENCH_fleet_ci.json instead, so a CI-ladder run never overwrites the
+// checked-in full-ladder (1M tier) results.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -612,9 +614,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen("BENCH_fleet.json", "w");
+  const char* json_path = ci ? "BENCH_fleet_ci.json" : "BENCH_fleet.json";
+  std::FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_fleet.json\n");
+    std::fprintf(stderr, "cannot write %s\n", json_path);
     return 1;
   }
   std::fprintf(f, "{\n");
@@ -744,6 +747,6 @@ int main(int argc, char** argv) {
                deterministic ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
-  std::printf("wrote BENCH_fleet.json\n");
+  std::printf("wrote %s\n", json_path);
   return ok ? 0 : 1;
 }

@@ -2,7 +2,7 @@
 //
 // The legacy kernel (priority_queue + two unordered_maps + cancellation
 // tombstones, exactly as shipped before the rewrite) is reproduced inline
-// below as the baseline. Three measurements:
+// below as the baseline. Four measurements:
 //
 //   A. mixed workload -- periodic tickers, one-shot cascades, and the
 //      reliable-transport retry pattern (schedule an ack timer, cancel it
@@ -13,6 +13,11 @@
 //   C. cancel growth -- schedule+cancel with no time advance; the legacy
 //      queue accumulates one tombstone per cancel, the indexed heap and
 //      slab stay flat.
+//   D. ack-timer lanes -- A's ack-timer pattern at fleet width (1024
+//      tickers, every 16th ack lost so its timer expires), once with every
+//      event on the heap and once with the tickers and the ack timers on
+//      two kernel lanes. The two runs must fire the identical (time, tag)
+//      sequence with identical counts; the bench exits non-zero otherwise.
 //
 // Each timed section repeats kReps times; throughput reports best-of-N and
 // the per-rep p50/p95/max spread (bench::percentiles), so BENCH_sim.json is
@@ -26,6 +31,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "obs/fnv.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -219,6 +225,86 @@ std::uint64_t churn_workload(std::uint64_t total_events) {
   return fired;
 }
 
+// --- Workload D: ack timers, all-heap vs laned ------------------------------
+
+struct AckCounts {
+  std::uint64_t events = 0;
+  std::uint64_t acked = 0;
+  std::uint64_t expired = 0;
+  std::uint64_t fire_order = 0;  ///< FNV-1a over every (now, tag) fired
+  std::uint64_t slab_nodes = 0;
+
+  bool same_schedule(const AckCounts& other) const {
+    return events == other.events && acked == other.acked &&
+           expired == other.expired && fire_order == other.fire_order;
+  }
+};
+
+class AckTimerRig {
+ public:
+  static constexpr int kTimers = 1024;
+  static constexpr sim::Duration kTick = 100 * sim::kMicrosecond;
+  static constexpr sim::Duration kRetry = 10 * sim::kMillisecond;
+
+  explicit AckTimerRig(bool laned) : laned_(laned), retry_(kTimers) {
+    if (laned_) {
+      tick_lane_ = sim_.make_lane();
+      retry_lane_ = sim_.make_lane();
+    }
+    for (int t = 0; t < kTimers; ++t) {
+      // Staggered inside one tick, so the tickers share a period and stay
+      // in order on their lane.
+      const sim::Time first = kTick + t * 97;
+      auto tick = [this, t] { on_tick(t); };
+      if (laned_) {
+        sim_.schedule_every_in_lane(tick_lane_, first, kTick, tick);
+      } else {
+        sim_.schedule_every(first, kTick, tick);
+      }
+    }
+  }
+
+  AckCounts run(sim::Time horizon) {
+    sim_.run_until(horizon);
+    counts_.events = sim_.events_executed();
+    counts_.slab_nodes = sim_.slab_capacity();
+    return counts_;
+  }
+
+ private:
+  void mark(std::uint64_t tag) {
+    counts_.fire_order = obs::fnv1a_u64(
+        obs::fnv1a_u64(counts_.fire_order,
+                       static_cast<std::uint64_t>(sim_.now())),
+        tag);
+  }
+
+  void on_tick(int t) {
+    mark(static_cast<std::uint64_t>(t));
+    // Every 16th ack is lost: that timer stays armed and expires.
+    if (++ticks_ % 16 != 0 && sim_.cancel(retry_[t])) ++counts_.acked;
+    auto expire = [this, t] {
+      mark(static_cast<std::uint64_t>(kTimers + t));
+      ++counts_.expired;
+    };
+    retry_[t] = laned_ ? sim_.schedule_in_lane(retry_lane_, kRetry, expire)
+                       : sim_.schedule_in(kRetry, expire);
+  }
+
+  sim::Simulator sim_;
+  bool laned_;
+  sim::LaneId tick_lane_;
+  sim::LaneId retry_lane_;
+  std::vector<sim::EventId> retry_;
+  std::uint64_t ticks_ = 0;
+  AckCounts counts_{0, 0, 0, obs::kFnvSeed, 0};
+};
+
+AckCounts ack_timer_workload(bool laned, sim::Time horizon) {
+  AckTimerRig rig(laned);
+  return rig.run(horizon);
+}
+
 // --- Measurement harness ------------------------------------------------------
 
 struct Throughput {
@@ -323,6 +409,44 @@ int main() {
   std::printf("\nmixed speedup: %.2fx   oneshot-churn speedup: %.2fx\n",
               mixed_speedup, churn_speedup);
 
+  // --- D: ack timers, all-heap vs laned --------------------------------------
+  constexpr sim::Time kAckHorizon = 200 * sim::kMillisecond;
+  const AckCounts ack_heap = ack_timer_workload(false, kAckHorizon);
+  const AckCounts ack_laned = ack_timer_workload(true, kAckHorizon);
+  const bool ack_match = ack_heap.same_schedule(ack_laned);
+  if (!ack_match) {
+    std::fprintf(stderr,
+                 "lane parity violation: heap %llu/%llu/%llu order %016llx vs "
+                 "laned %llu/%llu/%llu order %016llx\n",
+                 static_cast<unsigned long long>(ack_heap.events),
+                 static_cast<unsigned long long>(ack_heap.acked),
+                 static_cast<unsigned long long>(ack_heap.expired),
+                 static_cast<unsigned long long>(ack_heap.fire_order),
+                 static_cast<unsigned long long>(ack_laned.events),
+                 static_cast<unsigned long long>(ack_laned.acked),
+                 static_cast<unsigned long long>(ack_laned.expired),
+                 static_cast<unsigned long long>(ack_laned.fire_order));
+    return 1;
+  }
+  bench::Table ack_table({"workload", "kernel", "events", "best_ms",
+                          "Mev_per_s", "p50_ms", "p95_ms", "max_ms"});
+  const Throughput ack_heap_tp = measure(
+      kReps, ack_heap.events, [] { ack_timer_workload(false, kAckHorizon); });
+  print_row(ack_table, "ack-timers", "heap", ack_heap_tp);
+  const Throughput ack_laned_tp = measure(
+      kReps, ack_laned.events, [] { ack_timer_workload(true, kAckHorizon); });
+  print_row(ack_table, "ack-timers", "laned", ack_laned_tp);
+  const double lane_speedup =
+      ack_laned_tp.events_per_sec / ack_heap_tp.events_per_sec;
+  std::printf(
+      "\nlaned vs all-heap: %.2fx, fire order %016llx on both, %llu acked, "
+      "%llu expired, slab %llu vs %llu nodes\n",
+      lane_speedup, static_cast<unsigned long long>(ack_laned.fire_order),
+      static_cast<unsigned long long>(ack_laned.acked),
+      static_cast<unsigned long long>(ack_laned.expired),
+      static_cast<unsigned long long>(ack_laned.slab_nodes),
+      static_cast<unsigned long long>(ack_heap.slab_nodes));
+
   // --- C: cancel-heavy memory behaviour ---------------------------------------
   constexpr int kCancelRounds = 200000;
   LegacySimulator legacy_cancel;
@@ -366,7 +490,21 @@ int main() {
   std::fprintf(f, "    \"slab_nodes\": %zu,\n", slab_cancel.slab_capacity());
   std::fprintf(f, "    \"legacy_pending\": %zu,\n", legacy_cancel.pending());
   std::fprintf(f, "    \"slab_pending\": %zu\n", slab_cancel.pending());
-  std::fprintf(f, "  }\n}\n");
+  std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"ack_timer_lanes\": {\n");
+  std::fprintf(f, "    \"tickers\": %d,\n", AckTimerRig::kTimers);
+  std::fprintf(f, "    \"acked\": %llu,\n",
+               static_cast<unsigned long long>(ack_laned.acked));
+  std::fprintf(f, "    \"expired\": %llu,\n",
+               static_cast<unsigned long long>(ack_laned.expired));
+  std::fprintf(f, "    \"fire_order\": \"%016llx\",\n",
+               static_cast<unsigned long long>(ack_laned.fire_order));
+  std::fprintf(f, "    \"fire_order_match\": %s,\n",
+               ack_match ? "true" : "false");
+  json_throughput(f, "heap", ack_heap_tp, "    ");
+  std::fprintf(f, ",\n");
+  json_throughput(f, "laned", ack_laned_tp, "    ");
+  std::fprintf(f, ",\n    \"speedup\": %.2f\n  }\n}\n", lane_speedup);
   std::fclose(f);
   std::printf("\nwrote BENCH_sim.json\n");
   return 0;

@@ -76,7 +76,7 @@ void BackendClient::revalidate_stale() {
     const SynthesisResponse response = service_->query(request);
     if (response.status == ResponseStatus::kOk ||
         response.status == ResponseStatus::kInfeasible) {
-      entry.artifact = response.artifact;
+      entry.artifact = response.artifact();
       entry.stale_used = false;
       ++revalidated_;
     }
@@ -156,12 +156,12 @@ BackendOutcome BackendClient::from_response(const SynthesisRequest& request,
   outcome.source = BackendOutcome::Source::kBackend;
   outcome.status = response.status;
   outcome.cache_hit = response.cache_hit;
-  outcome.artifact = response.artifact;
+  outcome.artifact = response.artifact();
   outcome.ok = response.status == ResponseStatus::kOk &&
-               response.artifact.feasible;
+               outcome.artifact.feasible;
   if (outcome.ok) {
     cache_store(task_set(request.tasks), request.tasks, request.ecu_mips,
-                response.artifact);
+                outcome.artifact);
   }
   return outcome;
 }

@@ -152,6 +152,13 @@ void FleetDriver::reset_sessions() {
 
 void FleetDriver::run() {
   reset_sessions();
+  // Both hot timer streams keep their order, so each rides one kernel lane:
+  // timeouts share one delay, cadences one period. Made here rather than
+  // in the constructor, which stays allocation-light.
+  if (!timeout_lane_.valid()) {
+    timeout_lane_ = sim_.make_lane();
+    ota_lane_ = sim_.make_lane();
+  }
   // All config instants are relative to the run's start, so a re-run on a
   // simulator whose clock already advanced replays the same scenario shape.
   const sim::Time start = sim_.now();
@@ -168,8 +175,9 @@ void FleetDriver::run() {
         first = first / config_.ota_phase_grid * config_.ota_phase_grid;
       }
       const std::uint32_t s = static_cast<std::uint32_t>(i);
-      ota_timers_.push_back(sim_.schedule_every(
-          start + first, config_.ota_period, [this, s] { issue_ota(s); }));
+      ota_timers_.push_back(sim_.schedule_every_in_lane(
+          ota_lane_, start + first, config_.ota_period,
+          [this, s] { issue_ota(s); }));
     }
   }
 
@@ -259,8 +267,7 @@ void FleetDriver::revalidate_stale(std::uint32_t s) {
   const SynthesisResponse response = services_[home_region(s)]->query(request);
   if (response.status == ResponseStatus::kOk ||
       response.status == ResponseStatus::kInfeasible) {
-    cls.artifact = response.artifact;
-    cls.artifact_valid = true;
+    cls.artifact = response.artifact_handle;
     flags_[s] &= ~kFlagStaleUsed;
     ++revalidated_;
   }
@@ -353,8 +360,9 @@ void FleetDriver::start_attempt(std::uint64_t id) {
                             [this, id, token](const SynthesisResponse& response) {
                               on_response(id, token, response);
                             });
-  pending->timeout = sim_.schedule_in(config_.client.request_timeout,
-                                     [this, id] { on_timeout(id); });
+  pending->timeout = sim_.schedule_in_lane(
+      timeout_lane_, config_.client.request_timeout,
+      [this, id] { on_timeout(id); });
 }
 
 void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
@@ -374,7 +382,7 @@ void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
       Outcome outcome;
       outcome.source = BackendOutcome::Source::kBackend;
       outcome.ok = response.status == ResponseStatus::kOk &&
-                   response.artifact.feasible;
+                   response.artifact().feasible;
       if (outcome.ok && config_.client.artifact_cache_capacity > 0) {
         // Vehicle-local artifact cache: bytes shared per class, presence
         // tracked per session (capacity 0 ablates it, as in BackendClient).
@@ -382,10 +390,7 @@ void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
         // so the bytes are stored once. A fresh store clears the stale
         // marker.
         TopologyClass& cls = classes_[class_of_[s]];
-        if (!cls.artifact_valid) {
-          cls.artifact = response.artifact;
-          cls.artifact_valid = true;
-        }
+        if (cls.artifact == nullptr) cls.artifact = response.artifact_handle;
         flags_[s] =
             static_cast<std::uint8_t>((flags_[s] | kFlagHasArtifact) &
                                       ~kFlagStaleUsed);
@@ -462,8 +467,8 @@ void FleetDriver::finish_with_fallback(std::uint64_t id) {
   const std::uint32_t s = pending->session;
   TopologyClass& cls = classes_[class_of_[s]];
   Outcome outcome;
-  if ((flags_[s] & kFlagHasArtifact) != 0 && cls.artifact_valid &&
-      cls.artifact.feasible) {
+  if ((flags_[s] & kFlagHasArtifact) != 0 && cls.artifact != nullptr &&
+      cls.artifact->feasible) {
     // Rung 1: the last backend-synthesized artifact, served stale.
     flags_[s] |= kFlagStaleUsed;
     ++stale_served_;

@@ -207,9 +207,9 @@ class FleetDriver {
     /// Vehicle-local artifact cache, compressed: the artifact bytes are
     /// identical for every vehicle of the class, so they are stored once
     /// here; per-session kFlagHasArtifact says whether *this* vehicle
-    /// holds a copy, kFlagStaleUsed whether it served it stale.
-    dse::ScheduleServer::Artifact artifact;
-    bool artifact_valid = false;
+    /// holds a copy, kFlagStaleUsed whether it served it stale. Shared
+    /// with the service's memo cache; null until the first one arrives.
+    ArtifactHandle artifact;
   };
 
   /// In-flight request slab entry, sized O(in-flight), not O(sessions).
@@ -299,6 +299,9 @@ class FleetDriver {
   /// only armed after its wave hit fired, so one slot holds either.
   std::vector<sim::EventId> session_timer_;
   std::array<sim::EventId, 2> outage_events_{};
+  /// Kernel lanes for the request timeouts and the OTA cadence.
+  sim::LaneId timeout_lane_;
+  sim::LaneId ota_lane_;
 
   std::vector<Pending> pending_;
   std::uint32_t pending_free_ = 0xFFFFFFFFu;

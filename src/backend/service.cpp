@@ -34,6 +34,11 @@ const char* to_string(ResponseStatus status) {
   return "?";
 }
 
+const dse::ScheduleServer::Artifact& SynthesisResponse::artifact() const {
+  static const dse::ScheduleServer::Artifact kNone;
+  return artifact_handle ? *artifact_handle : kNone;
+}
+
 const TaskSet& task_set(const TaskSetHandle& tasks) {
   static const TaskSet kEmpty;
   return tasks ? *tasks : kEmpty;
@@ -138,11 +143,13 @@ bool FleetScheduleService::preempt_routine() {
   if (shed_counter_ != nullptr) shed_counter_->add();
   if (coverage_ != nullptr) coverage_->hit(cov_preempt_);
   worker_free_[victim->worker] = victim->start;
-  sim_.cancel(outstanding_[victim_id].completion);
+  const auto it = outstanding_.find(victim_id);
+  sim_.cancel(it->second.completion);
   SynthesisResponse shed;
   shed.status = ResponseStatus::kShed;
   shed.retry_after = retry_hint();
-  respond(victim_id, shed);
+  it->second.response = std::move(shed);
+  respond(it);
   return true;
 }
 
@@ -189,7 +196,7 @@ std::uint64_t FleetScheduleService::request_key(
   return topology_key(task_set(request.tasks), request.ecu_mips);
 }
 
-dse::ScheduleServer::Artifact FleetScheduleService::resolve(
+ArtifactHandle FleetScheduleService::resolve(
     std::uint64_t key, const SynthesisRequest& request, bool* cache_hit) {
   CacheShard& shard = cache_[key % cache_.size()];
   auto it = shard.entries.find(key);
@@ -204,7 +211,7 @@ dse::ScheduleServer::Artifact FleetScheduleService::resolve(
       *cache_hit = true;
       ++cache_hits_;
       if (cache_hit_counter_ != nullptr) cache_hit_counter_->add();
-      return it->second.artifact;
+      return entry.artifact;
     }
     // Same key, different task set: refuse the hit and recompute rather
     // than hand a vehicle another topology's schedule table.
@@ -215,8 +222,8 @@ dse::ScheduleServer::Artifact FleetScheduleService::resolve(
   ++cache_misses_;
   ++synthesis_runs_;
   if (cache_miss_counter_ != nullptr) cache_miss_counter_->add();
-  dse::ScheduleServer::Artifact artifact =
-      server_.synthesize(task_set(request.tasks), request.ecu_mips);
+  auto artifact = std::make_shared<const dse::ScheduleServer::Artifact>(
+      server_.synthesize(task_set(request.tasks), request.ecu_mips));
   if (collided) {
     // Last-writer-wins on a contested key; the key stays at its original
     // position in the eviction order.
@@ -282,20 +289,21 @@ void FleetScheduleService::submit(const SynthesisRequest& request,
     const std::uint64_t id = next_id_++;
     Outstanding out;
     out.done = std::move(done);
+    out.response = std::move(reject);
     out.criticality = request.criticality;
     out.start = sim_.now();  // not preemptible: no reservation to reclaim
     out.end = deliver_at;
-    out.completion = sim_.schedule_at(
-        deliver_at, [this, id, reject] { respond(id, reject); });
+    out.completion =
+        sim_.schedule_at(deliver_at, [this, id] { deliver(id); });
     outstanding_.emplace(id, std::move(out));
     update_depth_gauge();
     return;
   }
 
   bool cache_hit = false;
-  dse::ScheduleServer::Artifact artifact = resolve(key, request, &cache_hit);
+  ArtifactHandle artifact = resolve(key, request, &cache_hit);
   const sim::Duration svc = static_cast<sim::Duration>(
-      static_cast<double>(service_time(artifact, cache_hit)) * slow_factor_);
+      static_cast<double>(service_time(*artifact, cache_hit)) * slow_factor_);
 
   const auto worker_it =
       std::min_element(worker_free_.begin(), worker_free_.end());
@@ -326,47 +334,43 @@ void FleetScheduleService::submit(const SynthesisRequest& request,
     open_cohorts_[key] = id;
   }
 
-  SynthesisResponse response;
-  response.status = artifact.feasible ? ResponseStatus::kOk
-                                      : ResponseStatus::kInfeasible;
-  response.artifact = std::move(artifact);
-  response.cache_hit = cache_hit;
-  const sim::Time deliver_at = end + config_.uplink_rtt / 2;
-  out.completion = sim_.schedule_at(
-      deliver_at, [this, id, response = std::move(response)] {
-        if (partitioned_) {
-          // The work completed but the response cannot reach the
-          // vehicle(s); the whole cohort's downlink copies are lost.
-          auto it = outstanding_.find(id);
-          if (it != outstanding_.end()) {
-            responses_dropped_ += 1 + it->second.extra.size();
-          }
-          close_entry(id);
-          return;
-        }
-        completed_ += respond(id, response);
-      });
+  out.response.status = artifact->feasible ? ResponseStatus::kOk
+                                           : ResponseStatus::kInfeasible;
+  out.response.artifact_handle = std::move(artifact);
+  out.response.cache_hit = cache_hit;
+  out.completion = sim_.schedule_at(end + config_.uplink_rtt / 2,
+                                    [this, id] { deliver(id); });
   outstanding_.emplace(id, std::move(out));
   max_queue_depth_ = std::max(max_queue_depth_, queued_);
   update_depth_gauge();
 }
 
-std::size_t FleetScheduleService::respond(std::uint64_t id,
-                                          const SynthesisResponse& response) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return 0;
+void FleetScheduleService::deliver(std::uint64_t id) {
+  const auto it = outstanding_.find(id);
+  if (it == outstanding_.end()) return;
+  if (!it->second.admitted) {
+    // A rejection verdict holds no work for a partition to lose.
+    respond(it);
+    return;
+  }
+  if (partitioned_) {
+    // The work completed but the response cannot reach the vehicle(s);
+    // the whole cohort's downlink copies are lost.
+    responses_dropped_ += 1 + it->second.extra.size();
+    close_entry(it);
+    return;
+  }
+  completed_ += respond(it);
+}
+
+std::size_t FleetScheduleService::respond(OutstandingMap::iterator it) {
+  // Moved out before the entry is erased: members may re-enter submit(),
+  // and every member reads this one response.
+  const SynthesisResponse response = std::move(it->second.response);
   Callback done = std::move(it->second.done);
   std::vector<Callback> extra = std::move(it->second.extra);
   if (it->second.admitted) record_batch(1 + extra.size());
-  if (it->second.open) {
-    auto open = open_cohorts_.find(it->second.key);
-    if (open != open_cohorts_.end() && open->second == id) {
-      open_cohorts_.erase(open);
-    }
-  }
-  if (it->second.admitted) --queued_;
-  outstanding_.erase(it);
-  update_depth_gauge();
+  close_entry(it);
   // Fan-out: the leader hears first, joiners in arrival order.
   if (done) done(response);
   for (Callback& member : extra) {
@@ -375,12 +379,10 @@ std::size_t FleetScheduleService::respond(std::uint64_t id,
   return 1 + extra.size();
 }
 
-void FleetScheduleService::close_entry(std::uint64_t id) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return;
+void FleetScheduleService::close_entry(OutstandingMap::iterator it) {
   if (it->second.open) {
     auto open = open_cohorts_.find(it->second.key);
-    if (open != open_cohorts_.end() && open->second == id) {
+    if (open != open_cohorts_.end() && open->second == it->first) {
       open_cohorts_.erase(open);
     }
   }
@@ -409,12 +411,11 @@ SynthesisResponse FleetScheduleService::query(
   }
   if (!admit(request.criticality, &response)) return response;
   bool cache_hit = false;
-  dse::ScheduleServer::Artifact artifact =
-      resolve(request_key(request), request, &cache_hit);
+  ArtifactHandle artifact = resolve(request_key(request), request, &cache_hit);
   ++completed_;
-  response.status = artifact.feasible ? ResponseStatus::kOk
-                                      : ResponseStatus::kInfeasible;
-  response.artifact = std::move(artifact);
+  response.status = artifact->feasible ? ResponseStatus::kOk
+                                       : ResponseStatus::kInfeasible;
+  response.artifact_handle = std::move(artifact);
   response.cache_hit = cache_hit;
   return response;
 }

@@ -93,13 +93,23 @@ struct SynthesisRequest {
   std::uint64_t key_hint = 0;
 };
 
+/// Shared, immutable synthesis artifact. The memo cache entry owns one
+/// handle and every response served from it carries a copy of the pointer,
+/// so a response costs the same whatever its schedule table weighs.
+using ArtifactHandle = std::shared_ptr<const dse::ScheduleServer::Artifact>;
+
 struct SynthesisResponse {
   ResponseStatus status = ResponseStatus::kUnreachable;
-  dse::ScheduleServer::Artifact artifact;
+  /// Set on kOk / kInfeasible; null on replies that carry no artifact.
+  ArtifactHandle artifact_handle;
   bool cache_hit = false;
   /// Backpressure hint: earliest useful re-submission delay (kShed /
   /// kRetryAfter).
   sim::Duration retry_after = 0;
+
+  /// The attached artifact; a null handle reads as an empty (infeasible)
+  /// artifact.
+  const dse::ScheduleServer::Artifact& artifact() const;
 };
 
 struct ServiceConfig {
@@ -257,6 +267,9 @@ class FleetScheduleService {
  private:
   struct Outstanding {
     Callback done;
+    /// What every member hears at delivery: the verdict for a rejected
+    /// entry, the served artifact for an admitted one.
+    SynthesisResponse response;
     /// Cohort members coalesced onto this entry after the leader; they
     /// share the leader's slot, reservation and response.
     std::vector<Callback> extra;
@@ -275,8 +288,9 @@ class FleetScheduleService {
     /// true while registered in open_cohorts_ (batched, joinable).
     bool open = false;
   };
+  using OutstandingMap = std::map<std::uint64_t, Outstanding>;
   struct CacheEntry {
-    dse::ScheduleServer::Artifact artifact;
+    ArtifactHandle artifact;
     /// What the artifact was synthesized for. A key match is a hit only
     /// when the request names the same handle or an equal task set on the
     /// same ECU speed; anything else is a detected collision, served as a
@@ -298,20 +312,23 @@ class FleetScheduleService {
   bool preempt_routine();
   /// Cache/batch key for a request (key_fn seam or topology_key).
   std::uint64_t request_key(const SynthesisRequest& request) const;
-  /// Cache lookup + synthesis on miss. Returns the artifact and whether it
-  /// was a hit; accounts cache metrics and collision/eviction counters.
-  dse::ScheduleServer::Artifact resolve(std::uint64_t key,
-                                        const SynthesisRequest& request,
-                                        bool* cache_hit);
+  /// Cache lookup + synthesis on miss. Returns the cached artifact handle
+  /// and whether it was a hit; accounts cache metrics and
+  /// collision/eviction counters.
+  ArtifactHandle resolve(std::uint64_t key, const SynthesisRequest& request,
+                         bool* cache_hit);
   sim::Duration service_time(const dse::ScheduleServer::Artifact& artifact,
                              bool cache_hit) const;
   sim::Duration retry_hint() const;
-  /// Delivers `response` to every cohort member and closes the entry.
-  /// Returns the member count (0 when the id is stale).
-  /// `response` must outlive the fan-out; callbacks may re-enter submit().
-  std::size_t respond(std::uint64_t id, const SynthesisResponse& response);
-  /// Drops a closing entry without delivering (partition, crash paths).
-  void close_entry(std::uint64_t id);
+  /// Completion event of entry `id`: drops an admitted entry's response
+  /// while the uplink is partitioned, else delivers it.
+  void deliver(std::uint64_t id);
+  /// Closes the entry and hands its response to every cohort member.
+  /// Returns the member count. Callbacks may re-enter submit().
+  std::size_t respond(OutstandingMap::iterator it);
+  /// Erases an entry, releasing its queue slot and cohort registration;
+  /// delivers nothing.
+  void close_entry(OutstandingMap::iterator it);
   void record_batch(std::size_t size);
   void update_depth_gauge();
 
@@ -325,7 +342,7 @@ class FleetScheduleService {
   /// it — only that reservation can be reclaimed exactly on preemption.
   std::vector<std::uint64_t> worker_last_token_;
   std::uint64_t next_token_ = 1;
-  std::map<std::uint64_t, Outstanding> outstanding_;
+  OutstandingMap outstanding_;
   /// Joinable cohort per topology key (batched mode): key -> outstanding
   /// id of the cohort leader entry.
   std::map<std::uint64_t, std::uint64_t> open_cohorts_;

@@ -29,6 +29,7 @@ void Simulator::free_slot(std::uint32_t slot) {
   n.fn.reset();
   ++n.gen;  // all outstanding handles to this slot go stale
   n.heap_pos = kNpos;
+  n.lane = kNpos;
   n.next_free = free_head_;
   free_head_ = slot;
 }
@@ -84,6 +85,101 @@ void Simulator::heap_remove(std::uint32_t pos) {
   }
 }
 
+// --- Lanes ------------------------------------------------------------------
+// Invariant: a lane with no head in the heap has an empty `waiting` queue,
+// and every live entry in `waiting` orders after the head and after every
+// entry in front of it.
+
+void Simulator::drop_stale(Lane& lane) {
+  while (!lane.waiting.empty()) {
+    const LaneEntry front = lane.waiting.front();
+    if (node(front.slot).gen == front.gen) return;
+    lane.waiting.pop_front();
+    --lane.dead;
+  }
+}
+
+void Simulator::advance_lane(std::uint32_t pos, Lane& lane) {
+  drop_stale(lane);
+  if (lane.waiting.empty()) {
+    lane.has_head = false;
+    heap_remove(pos);
+    return;
+  }
+  const std::uint32_t next = lane.waiting.front().slot;
+  lane.waiting.pop_front();
+  node(heap_[pos].slot).heap_pos = kNpos;
+  // The successor's key is no smaller than the head it replaces.
+  sift_down(pos, key_of(next));
+}
+
+void Simulator::rearm_in_lane(std::uint32_t slot) {
+  Node& n = node(slot);
+  Lane& lane = lanes_[n.lane];
+  drop_stale(lane);
+  if (lane.waiting.empty()) {
+    // Alone in its lane: stays the head under its new key.
+    lane.tail_at = n.at;
+    sift_down(0, key_of(slot));
+    return;
+  }
+  const std::uint32_t next = lane.waiting.front().slot;
+  lane.waiting.pop_front();
+  if (n.at >= lane.tail_at) {
+    lane.waiting.push_back(LaneEntry{slot, n.gen});
+    lane.tail_at = n.at;
+    n.heap_pos = kNpos;
+    sift_down(0, key_of(next));
+  } else {
+    // Due before the lane's tail: it leaves the lane for the heap.
+    n.lane = kNpos;
+    sift_down(0, key_of(next));
+    heap_push(key_of(slot));
+  }
+}
+
+LaneId Simulator::make_lane() {
+  lanes_.emplace_back();
+  return LaneId{static_cast<std::uint32_t>(lanes_.size() - 1)};
+}
+
+EventId Simulator::enqueue_in_lane(std::uint32_t lane_index, Time at,
+                                   Duration period, InlineFunction fn) {
+  assert(at >= now_ && "cannot schedule into the past");
+  Lane& lane = lanes_[lane_index];
+  if (lane.has_head && at < lane.tail_at) {
+    return enqueue(at, period, std::move(fn));
+  }
+  const std::uint32_t slot = alloc_slot();
+  Node& n = node(slot);
+  n.at = at;
+  n.seq = next_seq_++;
+  n.period = period;
+  n.lane = lane_index;
+  n.fn = std::move(fn);
+  lane.tail_at = at;
+  if (lane.has_head) {
+    lane.waiting.push_back(LaneEntry{slot, n.gen});
+  } else {
+    lane.has_head = true;
+    heap_push(HeapEntry{at, n.seq, slot});
+  }
+  ++live_;
+  return make_handle(slot);
+}
+
+EventId Simulator::schedule_in_lane(LaneId lane, Duration delay,
+                                    InlineFunction fn) {
+  assert(delay >= 0);
+  return enqueue_in_lane(lane.value, now_ + delay, 0, std::move(fn));
+}
+
+EventId Simulator::schedule_every_in_lane(LaneId lane, Time first,
+                                          Duration period, InlineFunction fn) {
+  assert(period > 0);
+  return enqueue_in_lane(lane.value, first, period, std::move(fn));
+}
+
 // --- Scheduling API ---------------------------------------------------------
 
 EventId Simulator::enqueue(Time at, Duration period, InlineFunction fn) {
@@ -96,7 +192,7 @@ EventId Simulator::enqueue(Time at, Duration period, InlineFunction fn) {
   n.fn = std::move(fn);
   heap_push(HeapEntry{at, n.seq, slot});
   ++live_;
-  return EventId{(static_cast<std::uint64_t>(slot) + 1) << 32 | n.gen};
+  return make_handle(slot);
 }
 
 EventId Simulator::schedule_in(Duration delay, InlineFunction fn) {
@@ -117,8 +213,17 @@ bool Simulator::cancel(EventId id) {
   if (slot >= slab_capacity()) return false;
   Node& n = node(slot);
   if (n.gen != gen) return false;  // already fired, cancelled, or slot reused
+  Lane* behind_head = nullptr;
   if (n.heap_pos != kNpos) {
-    heap_remove(n.heap_pos);
+    if (n.lane == kNpos) {
+      heap_remove(n.heap_pos);
+    } else {
+      advance_lane(n.heap_pos, lanes_[n.lane]);
+    }
+  } else if (n.lane != kNpos) {
+    // Queued behind its lane's head: the generation bump below turns its
+    // entry stale, to be dropped at the front or by compaction.
+    behind_head = &lanes_[n.lane];
   } else if (slot != firing_) {
     return false;  // not queued and not firing: nothing to cancel
   }
@@ -131,6 +236,19 @@ bool Simulator::cancel(EventId id) {
     ++n.gen;
   } else {
     free_slot(slot);
+  }
+  if (behind_head != nullptr) {
+    Lane& lane = *behind_head;
+    ++lane.dead;
+    // Compact once stale entries outnumber live ones (plus slack), so the
+    // lane stays O(live) under any cancel pattern at amortized O(1) per
+    // cancel.
+    if (lane.dead > lane.waiting.size() - lane.dead + kLaneSlack) {
+      std::erase_if(lane.waiting, [this](const LaneEntry& entry) {
+        return node(entry.slot).gen != entry.gen;
+      });
+      lane.dead = 0;
+    }
   }
   return true;
 }
@@ -148,7 +266,11 @@ bool Simulator::step() {
     // callback may cancel its own recurrence.
     n.at += n.period;
     n.seq = next_seq_++;
-    sift_down(0, HeapEntry{n.at, n.seq, slot});
+    if (n.lane == kNpos) {
+      sift_down(0, HeapEntry{n.at, n.seq, slot});
+    } else {
+      rearm_in_lane(slot);
+    }
     firing_ = slot;
     firing_cancelled_ = false;
     n.fn();
@@ -158,11 +280,16 @@ bool Simulator::step() {
       // that the callable finished executing, reclaim its storage.
       n.fn.reset();
       n.heap_pos = kNpos;
+      n.lane = kNpos;
       n.next_free = free_head_;
       free_head_ = slot;
     }
   } else {
-    heap_remove(0);
+    if (n.lane == kNpos) {
+      heap_remove(0);
+    } else {
+      advance_lane(0, lanes_[n.lane]);
+    }
     --live_;
     // Move the callback out and release the slot before invoking, so the
     // callback may safely schedule/cancel anything (including reusing this

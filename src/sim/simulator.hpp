@@ -14,16 +14,26 @@
 // chunked free-list pool — node addresses are stable, callbacks up to
 // InlineFunction::kInlineCapacity bytes are stored inline in the node, and
 // steady-state scheduling performs no heap allocation. Ordering is an
-// index-tracked 4-ary min-heap of slot indices over the slab, so cancel()
-// removes the event immediately in O(log n): no tombstones, no lazy-deletion
-// scans in step()/run_until(), and a cancel-heavy workload (acked retry
-// timers) cannot grow the queue. EventIds carry a per-slot generation
-// counter, so a stale handle — to an event that already fired, was
-// cancelled, or whose slot was reused — is detected and cancel() safely
-// no-ops. Recurrences re-arm in place with zero callback copies.
+// index-tracked 4-ary min-heap of slot indices over the slab, so cancelling
+// a heap event removes it immediately in O(log n). EventIds carry a
+// per-slot generation counter, so a stale handle — to an event that
+// already fired, was cancelled, or whose slot was reused — is detected and
+// cancel() safely no-ops. Recurrences re-arm in place with zero callback
+// copies.
+//
+// Lanes keep same-delay timers out of the heap: a lane is a FIFO of events
+// whose (at, seq) keys arrive in non-decreasing order, and only its first
+// live event sits in the heap. Sequence numbers stay global, so the firing
+// order is exactly the all-heap (at, seq) order. An event that would break
+// its lane's order goes to the heap instead. Cancelling an event queued
+// behind its lane's head only bumps the slot generation (O(1)); the stale
+// entry is dropped when it reaches the front, and a lane whose stale
+// entries outnumber its live ones is compacted, so a cancel-heavy lane
+// stays flat.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -37,6 +47,12 @@ namespace dynaplat::sim {
 struct EventId {
   std::uint64_t value = 0;
   bool valid() const { return value != 0; }
+};
+
+/// Handle for a lane made by Simulator::make_lane().
+struct LaneId {
+  std::uint32_t value = 0xFFFFFFFFu;
+  bool valid() const { return value != 0xFFFFFFFFu; }
 };
 
 class Simulator {
@@ -60,6 +76,21 @@ class Simulator {
   /// until cancelled. Returns the id of the *recurrence*, which stays valid
   /// across firings.
   EventId schedule_every(Time first, Duration period, InlineFunction fn);
+
+  /// Makes an empty lane. Lanes live as long as the simulator.
+  LaneId make_lane();
+
+  /// schedule_in() through `lane`. Meant for a stream of timers with one
+  /// constant delay: their deadlines arrive in order, so the lane holds
+  /// them in a FIFO and the heap holds only the earliest. Fires exactly
+  /// when schedule_in() would; an event due before the lane's latest one
+  /// simply goes to the heap.
+  EventId schedule_in_lane(LaneId lane, Duration delay, InlineFunction fn);
+
+  /// schedule_every() through `lane`. Each firing re-arms onto the lane's
+  /// tail, so recurrences sharing one period keep the lane in order.
+  EventId schedule_every_in_lane(LaneId lane, Time first, Duration period,
+                                 InlineFunction fn);
 
   /// Cancels a pending event or recurrence. Cancelling an already-fired or
   /// unknown id is a no-op. Returns true if something was cancelled.
@@ -88,9 +119,17 @@ class Simulator {
   /// a cancel-heavy workload must not grow this without bound).
   std::size_t slab_capacity() const { return chunks_.size() * kChunkSize; }
 
+  /// Entries queued behind `lane`'s head, stale ones included (for
+  /// tests/benches: a cancel-heavy lane must not grow this without bound).
+  std::size_t lane_backlog(LaneId lane) const {
+    return lanes_[lane.value].waiting.size();
+  }
+
  private:
   static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
   static constexpr std::size_t kChunkSize = 256;
+  // Stale lane entries tolerated beyond the live count before compaction.
+  static constexpr std::size_t kLaneSlack = 16;
 
   struct Node {
     Time at = 0;
@@ -99,7 +138,22 @@ class Simulator {
     std::uint32_t gen = 1;          // bumped on every slot release
     std::uint32_t heap_pos = kNpos; // kNpos when not queued
     std::uint32_t next_free = kNpos;
+    std::uint32_t lane = kNpos;     // kNpos when not queued on a lane
     InlineFunction fn;
+  };
+
+  // A lane entry names its node; the (at, seq) key lives in the node. The
+  // entry is stale once the slot's generation moved on (cancelled).
+  struct LaneEntry {
+    std::uint32_t slot;
+    std::uint32_t gen;
+  };
+
+  struct Lane {
+    std::deque<LaneEntry> waiting;  // behind the head, in (at, seq) order
+    Time tail_at = 0;               // latest `at` the lane accepted
+    std::size_t dead = 0;           // stale entries in `waiting`
+    bool has_head = false;          // first live event sits in the heap
   };
 
   Node& node(std::uint32_t slot) {
@@ -124,6 +178,16 @@ class Simulator {
   }
 
   EventId enqueue(Time at, Duration period, InlineFunction fn);
+  EventId enqueue_in_lane(std::uint32_t lane, Time at, Duration period,
+                          InlineFunction fn);
+  EventId make_handle(std::uint32_t slot) const {
+    return EventId{(static_cast<std::uint64_t>(slot) + 1) << 32 |
+                   node(slot).gen};
+  }
+  HeapEntry key_of(std::uint32_t slot) const {
+    const Node& n = node(slot);
+    return HeapEntry{n.at, n.seq, slot};
+  }
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t slot);
 
@@ -131,6 +195,14 @@ class Simulator {
   void heap_remove(std::uint32_t pos);
   void sift_up(std::uint32_t pos, HeapEntry entry);
   void sift_down(std::uint32_t pos, HeapEntry entry);
+
+  /// Drops stale entries off the front of `lane.waiting`.
+  void drop_stale(Lane& lane);
+  /// The lane head at heap position `pos` leaves: its next live entry takes
+  /// the position (one sift_down), or the lane goes idle.
+  void advance_lane(std::uint32_t pos, Lane& lane);
+  /// Re-arms the laned recurrence at the heap root onto its lane's tail.
+  void rearm_in_lane(std::uint32_t slot);
 
   Time now_ = 0;
   bool stopped_ = false;
@@ -146,6 +218,8 @@ class Simulator {
   // 4-ary min-heap ordered by (at, seq); each slab node tracks its heap
   // position for O(log n) arbitrary removal.
   std::vector<HeapEntry> heap_;
+
+  std::vector<Lane> lanes_;
 
   // Slot whose recurrence callback is executing right now; if it cancels
   // itself mid-fire, reclamation is deferred until the callback returns.

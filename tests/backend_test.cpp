@@ -98,8 +98,8 @@ TEST(FleetBackend, SubmitDeliversFeasibleArtifactAfterSimLatency) {
   });
   simulator.run_until(sim::seconds(2));
   EXPECT_EQ(seen.status, ResponseStatus::kOk);
-  EXPECT_TRUE(seen.artifact.feasible);
-  EXPECT_TRUE(seen.artifact.validated);
+  EXPECT_TRUE(seen.artifact().feasible);
+  EXPECT_TRUE(seen.artifact().validated);
   EXPECT_FALSE(seen.cache_hit);
   // At least the round trip plus the service-time floor elapsed.
   EXPECT_GE(delivered_at, service.config().uplink_rtt +
@@ -305,8 +305,8 @@ TEST(ScheduleServerErrors, InfeasibleUnderConcurrentCallers) {
     request.session = session;
     service.submit(request, [&](const SynthesisResponse& response) {
       if (response.status == ResponseStatus::kInfeasible) ++infeasible;
-      EXPECT_FALSE(response.artifact.feasible);
-      reasons.insert(response.artifact.reason);
+      EXPECT_FALSE(response.artifact().feasible);
+      reasons.insert(response.artifact().reason);
     });
   }
   simulator.run_until(sim::seconds(2));
@@ -331,7 +331,7 @@ TEST(ScheduleServerErrors, CacheHitMatchesFreshRecompute) {
 
   const dse::ScheduleServer reference;
   const auto fresh = reference.synthesize(*request.tasks, request.ecu_mips);
-  for (const auto* artifact : {&first.artifact, &second.artifact}) {
+  for (const auto* artifact : {&first.artifact(), &second.artifact()}) {
     EXPECT_EQ(artifact->feasible, fresh.feasible);
     EXPECT_EQ(artifact->validated, fresh.validated);
     EXPECT_EQ(artifact->synthesis_instructions, fresh.synthesis_instructions);
@@ -1093,7 +1093,7 @@ TEST(FleetBatching, ResubmitDuringFanOutLeavesOtherMembersIntact) {
     EXPECT_EQ(members[i].status, ResponseStatus::kOk);
     EXPECT_FALSE(members[i].cache_hit);
     EXPECT_EQ(member_times[i], member_times[0]);
-    expect_same_artifact(members[i].artifact, fresh);
+    expect_same_artifact(members[i].artifact(), fresh);
   }
   // The re-submissions ran as two new cohorts: a cache hit and a miss.
   ASSERT_EQ(resubmitted.size(), 2u);
@@ -1223,7 +1223,7 @@ TEST(FleetCache, ExactCheckCatchesEveryFieldMutation) {
     EXPECT_EQ(service.cache_collisions(), 1u);
     EXPECT_EQ(service.cache_hits(), 0u);
     EXPECT_EQ(service.synthesis_runs(), 2u);
-    expect_same_artifact(response.artifact,
+    expect_same_artifact(response.artifact(),
                          dse::ScheduleServer{}.synthesize(*mutated.tasks,
                                                           mutated.ecu_mips));
     // The base topology now collides with the overwritten entry in turn.
@@ -1252,7 +1252,7 @@ TEST(FleetCache, EqualContentsOnDistinctHandlesShareOneEntry) {
   EXPECT_EQ(service.cache_hits(), 1u);
   EXPECT_EQ(service.cache_collisions(), 0u);
   EXPECT_EQ(service.cache_entries(), 1u);
-  expect_same_artifact(hit.artifact, miss.artifact);
+  expect_same_artifact(hit.artifact(), miss.artifact());
 }
 
 TEST(FleetCache, NullHandleIsTheEmptyTaskSet) {
@@ -1268,7 +1268,7 @@ TEST(FleetCache, NullHandleIsTheEmptyTaskSet) {
   EXPECT_EQ(from_null.status, from_empty.status);
   EXPECT_TRUE(from_empty.cache_hit);
   EXPECT_EQ(service.synthesis_runs(), 1u);
-  expect_same_artifact(from_null.artifact,
+  expect_same_artifact(from_null.artifact(),
                        dse::ScheduleServer{}.synthesize({}, 1'000));
   // The async path reads a null handle the same way.
   std::vector<ResponseStatus> delivered;
@@ -1312,7 +1312,7 @@ TEST(FleetCache, HitOutlivesTheCallersDroppedHandle) {
   EXPECT_FALSE(responses[0].cache_hit);
   EXPECT_TRUE(responses[1].cache_hit);
   EXPECT_EQ(responses[1].status, ResponseStatus::kOk);
-  expect_same_artifact(responses[1].artifact,
+  expect_same_artifact(responses[1].artifact(),
                        dse::ScheduleServer{}.synthesize(feasible_set(), 1'000));
   EXPECT_EQ(service.synthesis_runs(), 1u);
 }

@@ -1,8 +1,10 @@
 // Unit tests for the discrete-event simulation kernel, RNG and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -288,6 +290,205 @@ TEST(Simulator, RecurrenceRearmsWithoutCopyingCallback) {
       });
   simulator.run();
   EXPECT_EQ(count, 3);
+}
+
+// --- Lanes ------------------------------------------------------------------
+
+TEST(Simulator, LaneTiesWithHeapFireInScheduleOrder) {
+  Simulator simulator;
+  const LaneId lane = simulator.make_lane();
+  std::vector<int> order;
+  simulator.schedule_in_lane(lane, 10, [&] { order.push_back(1); });
+  simulator.schedule_in(10, [&] { order.push_back(2); });
+  simulator.schedule_in_lane(lane, 10, [&] { order.push_back(3); });
+  simulator.schedule_at(10, [&] { order.push_back(4); });
+  simulator.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Simulator, LaneEventDueBeforeItsTailFallsBackToHeap) {
+  Simulator simulator;
+  const LaneId lane = simulator.make_lane();
+  std::vector<Time> fired;
+  const auto record = [&] { fired.push_back(simulator.now()); };
+  simulator.schedule_in_lane(lane, 100, record);
+  simulator.schedule_in_lane(lane, 50, record);
+  simulator.schedule_in_lane(lane, 10, record);
+  EXPECT_EQ(simulator.lane_backlog(lane), 0u);  // both went to the heap
+  EXPECT_EQ(simulator.pending(), 3u);
+  simulator.run();
+  EXPECT_EQ(fired, (std::vector<Time>{10, 50, 100}));
+}
+
+TEST(Simulator, LaneCancelHeavyWorkloadStaysFlat) {
+  // A live head plus schedule-then-cancel pairs at one instant: without
+  // compaction every cancelled entry would wait in the lane until the
+  // head fires.
+  Simulator simulator;
+  const LaneId lane = simulator.make_lane();
+  int fired = 0;
+  simulator.schedule_in_lane(lane, 1000000, [&] { ++fired; });
+  std::size_t slab_after_warmup = 0;
+  std::size_t backlog_after_warmup = 0;
+  for (int round = 0; round < 1000000; ++round) {
+    const EventId timer = simulator.schedule_in_lane(
+        lane, 1000000, [] { FAIL() << "timer leaked"; });
+    ASSERT_TRUE(simulator.cancel(timer));
+    if (round == 1000) {
+      slab_after_warmup = simulator.slab_capacity();
+      backlog_after_warmup = simulator.lane_backlog(lane);
+    }
+  }
+  EXPECT_EQ(simulator.pending(), 1u);
+  EXPECT_EQ(simulator.slab_capacity(), slab_after_warmup);
+  EXPECT_LE(simulator.slab_capacity(), 256u);
+  EXPECT_LE(simulator.lane_backlog(lane), backlog_after_warmup + 32);
+  EXPECT_LE(simulator.lane_backlog(lane), 64u);
+  simulator.run();
+  EXPECT_EQ(fired, 1);
+}
+
+namespace {
+
+// One seeded random script run twice: with lanes, and with every lane call
+// replaced by its schedule_in/schedule_every twin. The script mixes heap
+// events and events on three lanes (two sharing a delay), same-instant
+// ties, out-of-order lane inserts, self-cancelling laned recurrences,
+// callbacks scheduling into their own lane, and cancels of heads,
+// non-heads and fired events. Every random draw happens in firing order,
+// so the two runs see the same script exactly when lanes are invisible.
+class LaneScript {
+ public:
+  LaneScript(std::uint64_t seed, bool laned)
+      : rng_(Random::stream(seed, 0x1A4E)), laned_(laned) {
+    for (LaneId& lane : lanes_) {
+      if (laned_) lane = sim_.make_lane();
+    }
+  }
+
+  std::vector<std::uint64_t> run() {
+    for (int i = 0; i < 40; ++i) act();
+    sim_.run_until(400);
+    mark(0xA11);
+    sim_.run();
+    mark(0xA12);
+    for (const EventId id : ids_) trace_.push_back(sim_.cancel(id) ? 1 : 0);
+    mark(0xA13);
+    return trace_;
+  }
+
+  std::size_t max_backlog() const { return max_backlog_; }
+
+ private:
+  static constexpr int kLanes = 3;
+  static constexpr Duration kLaneDelay[kLanes] = {7, 20, 20};
+
+  void mark(std::uint64_t tag) {
+    trace_.push_back(tag);
+    trace_.push_back(static_cast<std::uint64_t>(sim_.now()));
+    trace_.push_back(sim_.pending());
+    trace_.push_back(sim_.events_executed());
+    if (!laned_) return;
+    for (const LaneId lane : lanes_) {
+      max_backlog_ = std::max(max_backlog_, sim_.lane_backlog(lane));
+    }
+  }
+
+  EventId in(int lane, Duration delay, InlineFunction fn) {
+    if (!laned_) return sim_.schedule_in(delay, std::move(fn));
+    return sim_.schedule_in_lane(lanes_[lane], delay, std::move(fn));
+  }
+
+  EventId every(int lane, Time first, Duration period, InlineFunction fn) {
+    if (!laned_) return sim_.schedule_every(first, period, std::move(fn));
+    return sim_.schedule_every_in_lane(lanes_[lane], first, period,
+                                       std::move(fn));
+  }
+
+  void fire(std::uint64_t tag, int lane) {
+    mark(tag);
+    const std::uint64_t follow_ups = rng_.next_below(3);
+    for (std::uint64_t i = 0; i < follow_ups; ++i) act();
+    if (lane >= 0 && rng_.chance(0.3)) {
+      schedule_one_shot(lane, kLaneDelay[lane]);
+    }
+  }
+
+  void schedule_one_shot(int lane, Duration delay) {
+    if (budget_ == 0) return;
+    --budget_;
+    const std::uint64_t tag = ids_.size();
+    ids_.push_back(in(lane, delay, [this, tag, lane] { fire(tag, lane); }));
+  }
+
+  void act() {
+    if (budget_ == 0) return;
+    const std::uint64_t roll = rng_.next_below(100);
+    const int lane = static_cast<int>(rng_.next_below(kLanes));
+    if (roll < 20) {
+      // Heap event, often tying with lane events at the same instant.
+      --budget_;
+      const std::uint64_t tag = ids_.size();
+      ids_.push_back(sim_.schedule_in(
+          static_cast<Duration>(rng_.next_below(25)),
+          [this, tag] { fire(tag, -1); }));
+    } else if (roll < 55) {
+      schedule_one_shot(lane, kLaneDelay[lane]);
+    } else if (roll < 62) {
+      // Shorter than the lane's delay: out of order, falls back when the
+      // lane already holds a later event.
+      schedule_one_shot(
+          lane, static_cast<Duration>(rng_.next_below(kLaneDelay[lane])));
+    } else if (roll < 72) {
+      // Recurrence that cancels itself after a few firings; mostly on the
+      // lane's own period, sometimes on another so re-arms fall back.
+      --budget_;
+      const Duration period =
+          rng_.chance(0.75) ? kLaneDelay[lane]
+                            : static_cast<Duration>(1 + rng_.next_below(30));
+      const int lifetime = 1 + static_cast<int>(rng_.next_below(6));
+      const std::uint64_t tag = ids_.size();
+      ids_.emplace_back();
+      ids_[tag] = every(lane, sim_.now() + kLaneDelay[lane], period,
+                        [this, tag, lane, left = lifetime]() mutable {
+                          fire(tag, lane);
+                          if (--left == 0) {
+                            trace_.push_back(sim_.cancel(ids_[tag]) ? 1 : 0);
+                          }
+                        });
+    } else if (!ids_.empty()) {
+      // Cancel anything: a lane head, an entry behind one, a heap event, a
+      // recurrence, or an event that already fired.
+      const EventId id = ids_[rng_.next_below(ids_.size())];
+      trace_.push_back(sim_.cancel(id) ? 1 : 0);
+    }
+  }
+
+  Simulator sim_;
+  Random rng_;
+  bool laned_;
+  std::array<LaneId, kLanes> lanes_{};
+  std::vector<EventId> ids_;
+  std::vector<std::uint64_t> trace_;
+  std::size_t budget_ = 2000;
+  std::size_t max_backlog_ = 0;
+};
+
+}  // namespace
+
+TEST(Simulator, LanesMatchAllHeapFireTrace) {
+  std::size_t max_backlog = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    LaneScript laned(seed, true);
+    LaneScript heap(seed, false);
+    const std::vector<std::uint64_t> laned_trace = laned.run();
+    const std::vector<std::uint64_t> heap_trace = heap.run();
+    ASSERT_EQ(laned_trace, heap_trace) << "seed " << seed;
+    ASSERT_GT(laned_trace.size(), 1000u) << "seed " << seed;
+    max_backlog = std::max(max_backlog, laned.max_backlog());
+  }
+  // The lanes really carried events, not just the heap.
+  EXPECT_GT(max_backlog, 4u);
 }
 
 // --- ScenarioSweep ----------------------------------------------------------
