@@ -12,8 +12,10 @@
 // E5b additionally measures the parallel/memoized evaluation path against
 // the legacy serial always-reverify baseline and emits machine-readable
 // results to BENCH_dse.json (candidates/sec, speedup, cache hit rate) so
-// successive PRs accumulate a perf trajectory. Exits nonzero when the
-// genetic serial and parallel runs return different costs.
+// successive changes accumulate a perf trajectory. Exits nonzero when the
+// genetic serial and parallel runs return different costs, or when a
+// memoized arm's cost or candidate count drifts from its pinned value.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -96,9 +98,32 @@ void json_sample(std::FILE* f, const char* key, const ThroughputSample& s,
                s.hit_rate(), s.cost, trailing_comma ? "," : "");
 }
 
+/// E5b's pinned trajectory: the memoized arms' costs and candidate counts.
+/// They are pure functions of the model, the seeds and the search code, so
+/// a change to a verdict, a memo key or the search order moves one of them.
+struct Pinned {
+  const char* strategy;
+  double cost;
+  std::uint64_t candidates;
+};
+constexpr Pinned kPinnedGenetic{"genetic", 83.302000000000021, 3474};
+constexpr Pinned kPinnedAnnealing{"annealing", 59.662499999999994, 96044};
+
+bool matches_pin(const Pinned& pin, const ThroughputSample& s) {
+  if (s.cost == pin.cost && s.candidates == pin.candidates) return true;
+  std::fprintf(stderr,
+               "FAIL: %s memoized arm cost %.17g / %llu candidates, pinned "
+               "%.17g / %llu\n",
+               pin.strategy, s.cost,
+               static_cast<unsigned long long>(s.candidates), pin.cost,
+               static_cast<unsigned long long>(pin.candidates));
+  return false;
+}
+
 /// E5b: serial always-reverify baseline (cache off, threads 0 — the legacy
 /// evaluation path) vs. the parallel memoized path, on the largest E5 case.
-/// Returns false when the genetic serial and parallel runs disagree.
+/// Returns false when the genetic serial and parallel runs disagree or a
+/// memoized arm misses its pin.
 bool throughput_experiment() {
   constexpr std::size_t kApps = 20;
   constexpr std::size_t kEcus = 8;
@@ -176,10 +201,17 @@ bool throughput_experiment() {
                  genetic_serial.cost, genetic_parallel.cost);
   }
 
+  const bool genetic_pinned = matches_pin(kPinnedGenetic, genetic_parallel);
+  const bool anneal_pinned = matches_pin(kPinnedAnnealing, anneal_parallel);
+  const bool pinned = genetic_pinned && anneal_pinned;
+  std::printf("pinned trajectory (memoized costs, candidates): %s\n",
+              pinned ? "matches" : "MISMATCH");
+  const bool ok = deterministic && pinned;
+
   std::FILE* f = std::fopen("BENCH_dse.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_dse.json\n");
-    return deterministic;
+    return ok;
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"experiment\": \"E5b_parallel_dse\",\n");
@@ -188,6 +220,7 @@ bool throughput_experiment() {
   std::fprintf(f, "  \"threads\": %zu,\n", kThreads);
   std::fprintf(f, "  \"host_threads\": %zu,\n",
                dynaplat::concurrency::ThreadPool::hardware_threads());
+  std::fprintf(f, "  \"pinned_matches\": %s,\n", pinned ? "true" : "false");
   std::fprintf(f, "  \"genetic\": {\n");
   json_sample(f, "serial_baseline", genetic_serial, true);
   json_sample(f, "parallel_memoized", genetic_parallel, true);
@@ -203,7 +236,7 @@ bool throughput_experiment() {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_dse.json\n");
-  return deterministic;
+  return ok;
 }
 
 }  // namespace

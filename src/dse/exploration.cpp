@@ -20,8 +20,8 @@ Explorer::Explorer(const model::SystemModel& system_model,
     : model_(system_model), weights_(weights) {
   // The verifier's schedulability test goes through the (ECU, app set)
   // memo; the test is a pure function of its arguments and the hook
-  // receives apps in name order, the order hosted_apps() rebuilds from a
-  // memo key, so cached verdicts are exact. The fast path and
+  // receives apps in name order, the order memo_schedulable() rebuilds
+  // from a memo key, so cached verdicts are exact. The fast path and
   // IncrementalState share the memo.
   sched_test_ = make_verifier_hook();
   verifier_.set_schedulability_hook(
@@ -524,15 +524,6 @@ void Explorer::KeyIndex::clear() {
   size_ = 0;
 }
 
-std::vector<const model::AppDef*> Explorer::hosted_apps(
-    const std::uint64_t* key) const {
-  std::vector<const model::AppDef*> apps;
-  for_each_rank(key, [&](std::size_t rank) {
-    apps.push_back(apps_[apps_by_name_[rank]]);
-  });
-  return apps;
-}
-
 bool Explorer::memo_schedulable(const std::uint64_t* key, std::uint64_t hash,
                                 std::string* why) const {
   SchedShard& shard = sched_cache_[hash % kCacheShards];
@@ -544,9 +535,17 @@ bool Explorer::memo_schedulable(const std::uint64_t* key, std::uint64_t hash,
       return shard.entries[entry].ok;
     }
   }
+  // The hosted apps in name order, in one buffer per thread: a miss
+  // allocates nothing once it has grown (the hook runs on per-thread
+  // scratch too).
+  thread_local std::vector<const model::AppDef*> hosted;
+  hosted.clear();
+  for_each_rank(key, [&](std::size_t rank) {
+    hosted.push_back(apps_[apps_by_name_[rank]]);
+  });
   std::string reason;
-  const bool ok = sched_test_(*ecus_[static_cast<std::size_t>(key[0])],
-                              hosted_apps(key), &reason);
+  const bool ok =
+      sched_test_(*ecus_[static_cast<std::size_t>(key[0])], hosted, &reason);
   if (why != nullptr) *why = reason;
   std::lock_guard<std::mutex> lock(shard.mutex);
   // A racing worker may have stored the same (pure) verdict meanwhile.

@@ -356,9 +356,6 @@ class Explorer {
   double cached_genome_cost(const Genome& genome,
                             std::atomic<std::uint64_t>* hits) const;
 
-  /// The apps in memo key `key`, in name order.
-  std::vector<const model::AppDef*> hosted_apps(
-      const std::uint64_t* key) const;
   /// sched_test_ on memo key `key` (whose hash_words() is `hash`) through
   /// the (ECU, app set) memo. Only the cache-on paths call it; with the
   /// cache off the verifier's hook calls sched_test_ directly.

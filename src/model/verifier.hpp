@@ -56,9 +56,11 @@ struct Assignment {
 /// and may be invoked concurrently from any number of threads (the DSE
 /// explorer's parallel fitness workers share one instance). The one
 /// configuration mutator, set_schedulability_hook(), must happen-before the
-/// first concurrent use, and the installed hook itself must be reentrant
-/// (dse::make_verifier_hook()'s is: it captures nothing and only touches
-/// locals).
+/// first concurrent use, and the installed hook itself must be safe to call
+/// from several threads at once (dse::make_verifier_hook()'s is: it
+/// captures nothing and works on per-thread scratch buffers, which one call
+/// reuses from the last call on the same thread; it never calls back into
+/// the verifier, so no call on a thread overlaps another on that thread).
 class Verifier {
  public:
   /// Optional exact schedulability test (provided by dse::); receives the

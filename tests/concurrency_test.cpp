@@ -20,6 +20,7 @@
 #include "dse/schedulability.hpp"
 #include "model/parser.hpp"
 #include "sim/random.hpp"
+#include "schedulability_reference.hpp"
 
 namespace dynaplat {
 namespace dse {
@@ -537,11 +538,13 @@ TEST(DseFastPath, IncrementalVerdictTracksVerifierPastOneWord) {
 }
 
 // The first-fit hook as it was before it stopped copying: utilization
-// recomputed inside the sort comparator, and a copy of the core's task list
-// for every trial placement. The reference for the differential test below.
+// recomputed inside the sort comparator, named tasks from tasks_on(), a copy
+// of the core's task list for every trial placement, and the copying
+// reference verdict. The reference for the differential test below;
+// `branches` counts the verdict outcomes of every trial placement.
 bool copying_first_fit(const model::EcuDef& ecu,
                        const std::vector<const model::AppDef*>& apps,
-                       std::string* why) {
+                       std::string* why, reference::Branches* branches) {
   const auto cores = static_cast<std::size_t>(std::max(1, ecu.cores));
   std::vector<const model::AppDef*> order = apps;
   std::sort(order.begin(), order.end(),
@@ -556,7 +559,7 @@ bool copying_first_fit(const model::EcuDef& ecu,
     for (auto& core_tasks : per_core) {
       std::vector<dse::AnalysisTask> candidate = core_tasks;
       candidate.insert(candidate.end(), app_tasks.begin(), app_tasks.end());
-      if (dse::schedulable(candidate, nullptr)) {
+      if (reference::schedulable(candidate, nullptr, branches)) {
         core_tasks = std::move(candidate);
         placed = true;
         break;
@@ -575,13 +578,25 @@ bool copying_first_fit(const model::EcuDef& ecu,
 // Random multi-core ECUs and app sets, up to 24 apps so std::sort leaves
 // its insertion-sort range. Task sizes come from a short list, so many apps
 // tie on utilization and the sort's tie order decides the first fit.
+// Tasks may be aperiodic, and deadlines go down to a quarter of the period.
+// One trial in four draws second-scale periods: 2 s and 5 s (or 2.5 s) put
+// the deterministic LCM exactly on the 10 s hyperperiod cap, which must keep
+// folding, and 3 s pushes it past. Another one in four gives the 5 ms tasks
+// half-period deadlines and the top priorities, so TT placement fails where
+// RTA still passes. Every verdict branch must be reached.
 TEST(DseFastPath, VerifierHookMatchesCopyingFirstFit) {
   const auto hook = dse::make_verifier_hook();
+  constexpr sim::Duration kLongPeriods[] = {
+      500 * sim::kMillisecond, 2 * sim::kSecond, 2'500 * sim::kMillisecond,
+      3 * sim::kSecond, 5 * sim::kSecond};
   sim::Random rng(23);
   int accepted = 0;
   int rejected = 0;
-  for (int trial = 0; trial < 300; ++trial) {
+  reference::Branches branches;
+  for (int trial = 0; trial < 400; ++trial) {
     SCOPED_TRACE(trial);
+    const bool long_periods = trial % 4 == 3;
+    const bool fragmenting = trial % 4 == 1;
     model::EcuDef ecu;
     ecu.name = "E" + std::to_string(trial);
     ecu.cores = 1 + static_cast<int>(rng.next_below(4));
@@ -595,10 +610,29 @@ TEST(DseFastPath, VerifierHookMatchesCopyingFirstFit) {
       for (std::uint64_t t = 0, n = 1 + rng.next_below(2); t < n; ++t) {
         model::TaskDef task;
         task.name = "t" + std::to_string(t);
-        task.period = sim::kMillisecond * (5 << rng.next_below(3));
-        task.deadline = rng.chance(0.25) ? task.period / 2 : 0;
-        task.instructions = 250'000u << rng.next_below(4);
+        if (rng.chance(0.1)) {
+          task.period = 0;  // aperiodic
+        } else if (long_periods) {
+          task.period = kLongPeriods[rng.next_below(std::size(kLongPeriods))];
+        } else {
+          task.period = sim::kMillisecond * (5 << rng.next_below(3));
+        }
+        task.deadline = rng.chance(0.5)
+                            ? task.period / static_cast<sim::Duration>(
+                                                2 + rng.next_below(3))
+                            : 0;
+        task.instructions = (long_periods ? 100'000'000u : 250'000u)
+                            << rng.next_below(4);
         task.priority = static_cast<int>(rng.next_below(16));
+        if (fragmenting && task.period > 0) {
+          // Short urgent jobs pinned near their release split the cycle
+          // into gaps too small for the long jobs, which RTA still
+          // admits: the urgent tasks preempt them.
+          const bool urgent = task.period == 5 * sim::kMillisecond;
+          task.deadline = urgent ? task.period / 2 : 0;
+          task.priority =
+              static_cast<int>(rng.next_below(8)) + (urgent ? 0 : 8);
+        }
         app.tasks.push_back(task);
       }
     }
@@ -609,7 +643,8 @@ TEST(DseFastPath, VerifierHookMatchesCopyingFirstFit) {
     }
     std::string expected_why;
     std::string why;
-    const bool expected = copying_first_fit(ecu, apps, &expected_why);
+    const bool expected =
+        copying_first_fit(ecu, apps, &expected_why, &branches);
     ASSERT_EQ(hook(ecu, apps, &why), expected);
     ASSERT_EQ(why, expected_why);
     if (expected) {
@@ -620,6 +655,12 @@ TEST(DseFastPath, VerifierHookMatchesCopyingFirstFit) {
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+  EXPECT_GT(branches.overload, 0);
+  EXPECT_GT(branches.tt_ok, 0);
+  EXPECT_GT(branches.rta_only, 0);
+  EXPECT_GT(branches.neither, 0);
+  EXPECT_GT(branches.cycle_at_cap, 0);
+  EXPECT_GT(branches.cycle_past_cap, 0);
 }
 
 TEST(DseFastPath, MatchesVerifierOnNetworkRules) {

@@ -10,6 +10,8 @@
 
 #include "model/parser.hpp"
 #include "obs/metrics.hpp"
+#include "schedulability_reference.hpp"
+#include "sim/random.hpp"
 
 namespace dynaplat::dse {
 namespace {
@@ -149,6 +151,85 @@ TEST(TtSynthesis, UnpaddedTableFailsSimulationOnSlowCpu) {
   const auto table = synthesize_tt_table(tasks);
   ASSERT_TRUE(table.has_value());
   EXPECT_FALSE(validate_by_simulation(*table, tasks, 100));
+}
+
+// The public analyses against the copying reference on seeded random task
+// sets: aperiodic tasks, constrained deadlines, non-deterministic load,
+// priority ties, and second-scale periods whose LCM lands on or past the
+// 10 s cap. Synthesis runs with nonzero granularity and window padding, as
+// ScheduleServer's does, so every window, the cycle, the RTA response times
+// and every verdict's `why` must match.
+TEST(TtSynthesis, MatchesCopyingReference) {
+  constexpr sim::Duration kShortPeriods[] = {
+      0, 2 * sim::kMillisecond, 5 * sim::kMillisecond,
+      10 * sim::kMillisecond, 20 * sim::kMillisecond};
+  constexpr sim::Duration kLongPeriods[] = {
+      0, 500 * sim::kMillisecond, 2 * sim::kSecond, 3 * sim::kSecond,
+      5 * sim::kSecond};
+  sim::Random rng(5);
+  int synthesized = 0;
+  int infeasible = 0;
+  reference::Branches branches;
+  for (int trial = 0; trial < 1000; ++trial) {
+    SCOPED_TRACE(trial);
+    const bool long_periods = trial % 3 == 2;
+    std::vector<AnalysisTask> tasks(1 + rng.next_below(8));
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      AnalysisTask& t = tasks[i];
+      t.name = "t" + std::to_string(i);
+      t.period = long_periods
+                     ? kLongPeriods[rng.next_below(std::size(kLongPeriods))]
+                     : kShortPeriods[rng.next_below(std::size(kShortPeriods))];
+      const sim::Duration scale =
+          long_periods ? 25 * sim::kMillisecond : 75 * sim::kMicrosecond;
+      t.wcet = scale * static_cast<sim::Duration>(1 + rng.next_below(16));
+      t.deadline = rng.chance(0.4) ? t.period / static_cast<sim::Duration>(
+                                                    2 + rng.next_below(3))
+                                   : t.period;
+      t.priority = static_cast<int>(rng.next_below(6));
+      t.deterministic = rng.chance(0.7);
+    }
+    const sim::Duration granularity =
+        static_cast<sim::Duration>(rng.next_below(3)) * 50 *
+        sim::kMicrosecond;
+    const sim::Duration padding =
+        static_cast<sim::Duration>(rng.next_below(3)) * 10 *
+        sim::kMicrosecond;
+
+    const auto expected = reference::synthesize_tt_table(tasks, granularity,
+                                                         padding);
+    const auto table = synthesize_tt_table(tasks, granularity, padding);
+    ASSERT_EQ(table.has_value(), expected.has_value());
+    if (expected) {
+      ++synthesized;
+      ASSERT_EQ(table->cycle, expected->cycle);
+      ASSERT_EQ(table->windows.size(), expected->windows.size());
+      for (std::size_t w = 0; w < expected->windows.size(); ++w) {
+        SCOPED_TRACE(w);
+        EXPECT_EQ(table->windows[w].offset, expected->windows[w].offset);
+        EXPECT_EQ(table->windows[w].length, expected->windows[w].length);
+        EXPECT_EQ(table->windows[w].task, expected->windows[w].task);
+      }
+    } else {
+      ++infeasible;
+    }
+    EXPECT_EQ(response_time_analysis(tasks),
+              reference::response_time_analysis(tasks));
+    EXPECT_EQ(hyperperiod(tasks), reference::hyperperiod(tasks));
+    std::string why = "unset";
+    std::string expected_why = "unset";
+    ASSERT_EQ(schedulable(tasks, &why),
+              reference::schedulable(tasks, &expected_why, &branches));
+    ASSERT_EQ(why, expected_why);
+  }
+  EXPECT_GT(synthesized, 0);
+  EXPECT_GT(infeasible, 0);
+  EXPECT_GT(branches.overload, 0);
+  EXPECT_GT(branches.tt_ok, 0);
+  EXPECT_GT(branches.rta_only, 0);
+  EXPECT_GT(branches.neither, 0);
+  EXPECT_GT(branches.cycle_at_cap, 0);
+  EXPECT_GT(branches.cycle_past_cap, 0);
 }
 
 // --- Admission control ----------------------------------------------------------------
